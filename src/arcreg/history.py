@@ -246,6 +246,10 @@ def check_no_past(h: History) -> list[RegularityViolation]:
     read responded. An empty report means the history is regular.
     """
     reads, writes = _validate(h)
+    return _no_past(h, reads, writes)
+
+
+def _no_past(h: History, reads: np.ndarray, writes: np.ndarray) -> list[RegularityViolation]:
     if not len(reads):
         return []
     violations: list[RegularityViolation] = []
@@ -292,6 +296,10 @@ def check_no_new_old_inversion(h: History) -> list[InversionViolation]:
     pair appears exactly once.
     """
     reads, _ = _validate(h)
+    return _inversions(h, reads)
+
+
+def _inversions(h: History, reads: np.ndarray) -> list[InversionViolation]:
     if len(reads) < 2:
         return []
     r_inv = h.invocation[reads]
@@ -342,9 +350,10 @@ class VerificationReport:
 
 
 def check_history(h: History) -> VerificationReport:
-    """Run all checks and bundle the results."""
+    """Run all checks and bundle the results (validating the history once)."""
+    reads, writes = _validate(h)
     return VerificationReport(
-        no_past=check_no_past(h),
-        inversions=check_no_new_old_inversion(h),
+        no_past=_no_past(h, reads, writes),
+        inversions=_inversions(h, reads),
         torn_reads=check_integrity(h),
     )

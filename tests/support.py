@@ -98,12 +98,20 @@ def random_small_history(rng: random.Random, max_ops: int = 8) -> list[OpRecord]
     return records
 
 
+#: The mutant's copy granularity: word-aligned, and small enough that a
+#: 4 KiB write spans several chunks a thread switch can fall between.
+MUTANT_COPY_CHUNK = 1024
+
+
 class BrokenArcWriter(ArcWriter):
     """Mutant writer: the content copy is moved after the publish step.
 
     Readers that bind to the slot between the exchange and the copy observe
     the previous occupant's bytes (stale values) or a mid-copy mixture
-    (torn payloads). Exists to prove the verification harness has teeth.
+    (torn payloads). The correct registers fill a slot with one memcpy, so
+    this mutant copies in word-aligned chunks itself: a thread switch
+    between two chunks is what exposes a torn payload. Exists to prove the
+    verification harness has teeth.
     """
 
     def write(self, data) -> None:
@@ -117,7 +125,12 @@ class BrokenArcWriter(ArcWriter):
         slot.r_end.store(0)
         old = reg._current.exchange(slot_idx << INDEX_SHIFT)  # W2 first: wrong
         self.rmw_ops += 1
-        reg._copy_into(slot, data)  # copy after publish: the injected bug
+        # Copy after publish: the injected bug.
+        target, source = memoryview(slot.content), memoryview(data)
+        for off in range(0, size, MUTANT_COPY_CHUNK):
+            end = min(off + MUTANT_COPY_CHUNK, size)
+            target[off:end] = source[off:end]
+        slot.size = size
         old_slot = old >> INDEX_SHIFT
         freed = old & COUNTER_MASK
         if freed > reg.n_readers:

@@ -1,10 +1,12 @@
 """Baseline registers: capacity, RMW profiles, sequential and stressed runs."""
 
 import threading
+from array import array
 
 import pytest
 
 from arcreg import (
+    ArcRegister,
     BenchConfig,
     CapacityError,
     PetersonRegister,
@@ -15,6 +17,7 @@ from arcreg import (
     encode_versioned,
     run_bench,
 )
+from arcreg.baselines import _WRITER_BIT
 
 ALL_BASELINES = [RfRegister, PetersonRegister, RwlockRegister]
 
@@ -131,6 +134,59 @@ def test_peterson_write_stores_a_copy():
     data[:] = encode_versioned(9, 64)  # mutate the caller's buffer
     got, intact = decode_versioned(*reader.read())
     assert intact and got == 1
+
+
+def _read_value(reader):
+    buf, size = reader.read()
+    value = bytes(buf[:size])
+    # Drop the view before the next write: the spinlock register's reader
+    # holds its lock from one read to the next.
+    reader.finish()
+    return value
+
+
+@pytest.mark.parametrize("cls", [ArcRegister, RfRegister, RwlockRegister])
+def test_slot_registers_copy_every_source_type(cls):
+    reg = make(cls, max_size=256)
+    reader = reg.new_reader()
+    writer = reg.writer()
+    assert _read_value(reader) == encode_versioned(0, 256)
+    larger = bytearray(encode_versioned(7, 300))
+    sources = [
+        encode_versioned(1, 256),
+        bytearray(encode_versioned(2, 200)),
+        memoryview(encode_versioned(3, 136)),
+        memoryview(larger)[8:99],  # offset view with a partial trailing word
+        b"\xab" * 13,
+    ]
+    for data in sources:
+        expected = bytes(data)
+        writer.write(data)
+        got = _read_value(reader)
+        assert got == expected  # the new, shorter size is reported
+    caller = bytearray(encode_versioned(4, 256))
+    writer.write(caller)
+    caller[:] = encode_versioned(9, 256)  # mutate the caller's buffer
+    assert _read_value(reader) == encode_versioned(4, 256)
+
+
+@pytest.mark.parametrize("cls", [ArcRegister, RfRegister, RwlockRegister])
+def test_rejected_source_leaves_register_usable(cls):
+    reg = make(cls, max_size=64)
+    reader = reg.new_reader()
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 64))
+    assert _read_value(reader) == encode_versioned(1, 64)
+    rejected = [list(range(16)), array("b", range(16)), memoryview(b"x" * 16).cast("c")]
+    for data in rejected:
+        with pytest.raises((TypeError, ValueError)):
+            writer.write(data)
+        if cls is RwlockRegister:
+            # Checked before reading: a stuck writer bit would hang read().
+            assert not reg._word.load() & _WRITER_BIT
+        assert _read_value(reader) == encode_versioned(1, 64)
+    writer.write(encode_versioned(2, 40))
+    assert _read_value(reader) == encode_versioned(2, 40)
 
 
 def test_peterson_write_back_propagates_between_readers():

@@ -127,6 +127,33 @@ def test_non_increasing_write_seq_is_corrupted_history():
         check_no_past(h)
 
 
+def test_check_history_validates_once_and_agrees_with_the_public_checkers(monkeypatch):
+    import arcreg.history as history
+
+    h = H(
+        OpRecord(0, "write", 0, 1, 1),
+        OpRecord(0, "write", 2, 3, 2),
+        OpRecord(1, "read", 4, 5, 2),
+        OpRecord(1, "read", 6, 7, 1),  # stale, and inverted against the first
+    )
+    calls = []
+    validate = history._validate
+    monkeypatch.setattr(history, "_validate", lambda hist: calls.append(1) or validate(hist))
+    report = check_history(h)
+    assert len(calls) == 1
+    assert report.no_past == check_no_past(h) and len(report.no_past) == 1
+    assert report.inversions == check_no_new_old_inversion(h) and len(report.inversions) == 1
+
+
+def test_check_history_still_rejects_corrupted_history():
+    h = H(
+        OpRecord(0, "write", 0, 1, 1),
+        OpRecord(1, "read", 2, 3, 7),
+    )
+    with pytest.raises(CorruptedHistoryError):
+        check_history(h)
+
+
 def test_sequential_histories_always_pass():
     # Soundness: one thread alternating writes and fresh reads.
     records = []

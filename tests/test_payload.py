@@ -74,6 +74,46 @@ def test_word_aligned_mixtures_never_pass():
         assert not intact
 
 
+def _decode_by_expected_buffer(body, size):
+    # The previous decoder, kept as an oracle: build the expected body from
+    # the first word and compare it against the first ``size`` bytes.
+    first = bytes(body[:8])
+    full, rest = divmod(size, 8)
+    expected = first * full + first[:rest]
+    return int.from_bytes(first, "little"), bytes(body[:size]) == expected
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_decode_agrees_with_expected_buffer_oracle(kind):
+    rng = random.Random(20261018)
+    for _ in range(400):
+        size = rng.randint(8, 300)
+        body = bytearray(encode_versioned(rng.getrandbits(64), size))
+        body += rng.randbytes(rng.randint(0, 16))  # slack past the value
+        shape = rng.randrange(3 if size > 8 else 2)
+        damaged = shape == 2
+        if shape == 1:
+            at = rng.randrange(size)  # any offset, not only word-aligned
+            body[at] ^= 1 << rng.randrange(8)
+            # A byte of the first word with no copy within ``size`` only
+            # changes the value; every other flip tears it.
+            damaged = at >= 8 or at + 8 < size
+        elif shape == 2:
+            del body[rng.randint(8, size - 1):]  # shorter than size
+        seq, intact = _decode_by_expected_buffer(body, size)
+        assert decode_versioned(kind(body), size) == (seq, intact)
+        assert intact != damaged
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_body_shorter_than_one_word_is_not_intact(kind):
+    # The expected-buffer formula compares a short body with an equally
+    # short expectation and passes it; the decoder must not.
+    for length in range(8):
+        body = kind(bytes(length))
+        assert decode_versioned(body, 8) == (0, False)
+
+
 @pytest.mark.parametrize("size", [0, 1, 7])
 def test_sizes_below_one_word_are_rejected(size):
     with pytest.raises(ConfigurationError):
