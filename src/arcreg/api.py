@@ -7,7 +7,8 @@ single-writer/multi-reader surface:
 * ``register.writer()``      -- exactly one writer handle
 * ``reader.read()``          -- returns ``(buffer, size)``; the view stays
   stable until that reader's next ``read()`` (or ``finish()``)
-* ``writer.write(data)``     -- publishes a new value of ``len(data)`` bytes
+* ``writer.write(data)``     -- publishes ``data``, a byte-format buffer of
+  1..``max_size`` bytes
 * ``register.rmw_counters()``-- cumulative (read_rmw, write_rmw)
 
 The versioned payload gives every written value a self-describing body:
@@ -108,11 +109,16 @@ def decode_versioned(body, size: int) -> tuple[int, bool]:
 
 
 class Register:
-    """Base for the concrete registers: handle registry and counter rollup.
+    """Base for the concrete registers: the (1,N) contract they share.
 
-    Subclasses implement ``_make_reader(reader_id)`` and ``_make_writer()``
-    and keep per-handle RMW tallies in ``rmw_ops`` attributes; handles are
-    usable from one thread at a time but may migrate between operations.
+    The base class owns the handle registry (one writer, ``n_readers``
+    readers), the size contract (``_fit``: a value is 1..``max_size``
+    bytes, checked before any side effect), the content copy
+    (``_copy_in``: one memcpy from a byte-format buffer), content-buffer
+    accounting, and the rollup of the handles' ``rmw_ops`` tallies.
+    Subclasses implement ``_make_reader(reader_id)`` and ``_make_writer()``;
+    handles are usable from one thread at a time but may migrate between
+    operations.
     """
 
     kind: RegisterKind
@@ -161,13 +167,28 @@ class Register:
         self._allocated_buffers += 1
         return bytearray(self.max_size)
 
+    def _fit(self, data) -> int:
+        """Return the size of ``data`` if it is a legal register value.
+
+        Every initial value and every write passes here before anything
+        else happens, so a rejected value leaves the register untouched.
+        """
+        size = len(data)
+        if not 1 <= size <= self.max_size:
+            raise ConfigurationError(
+                f"value of {size} bytes does not fit max_size={self.max_size}"
+            )
+        return size
+
     @staticmethod
     def _copy_in(buf: bytearray, data) -> None:
         """Copy ``data`` into the head of ``buf`` with a single memcpy.
 
         Slice assignment to a ``bytearray`` first copies any source that is
         not itself a ``bytearray`` into a temporary; a memoryview target
-        reads the source's buffer directly.
+        reads the source's buffer directly. A source that is not a
+        byte-format buffer (``bytes``, ``bytearray``, a ``'B'`` memoryview)
+        raises ``TypeError`` or ``ValueError`` before any byte moves.
         """
         memoryview(buf)[: len(data)] = data
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from .api import (
     ARC_MAX_READERS,
     CapacityError,
-    ConfigurationError,
     InvariantViolation,
     Register,
     RegisterKind,
@@ -93,11 +92,7 @@ class ArcRegister(Register):
                 f"reader count must be in [1, 2**32 - 2], got {n_readers}"
             )
         super().__init__(n_readers, max_size)
-        size = len(initial)
-        if not 1 <= size <= max_size:
-            raise ConfigurationError(
-                f"initial value of {size} bytes does not fit max_size={max_size}"
-            )
+        size = self._fit(initial)
         self._debug = debug
         # I1 state: N+2 slots, all counters zero, slot 0 holds the initial
         # value, and current = pack(0, N) -- as if every reader already
@@ -190,14 +185,13 @@ class ArcReader:
 class ArcWriter:
     """The single writer: selects a free slot, copies, publishes, freezes."""
 
-    __slots__ = ("_reg", "last_slot", "writes", "rmw_ops", "last_scan_len", "max_scan_len")
+    __slots__ = ("_reg", "last_slot", "writes", "rmw_ops", "max_scan_len")
 
     def __init__(self, reg: ArcRegister) -> None:
         self._reg = reg
         self.last_slot = 0  # matches init: slot 0 holds the initial value
         self.writes = 0
         self.rmw_ops = 0
-        self.last_scan_len = 0
         self.max_scan_len = 0
 
     def write(self, data) -> None:
@@ -208,11 +202,7 @@ class ArcWriter:
         Executes exactly one RMW (the W2 exchange).
         """
         reg = self._reg
-        size = len(data)
-        if not 1 <= size <= reg.max_size:
-            raise ConfigurationError(
-                f"write of {size} bytes does not fit max_size={reg.max_size}"
-            )
+        size = reg._fit(data)  # before W1 consumes the hint
         if reg._debug:
             reg._check_outstanding_reads_bound()
         slot_idx = self.find_free_slot()  # W1
@@ -256,7 +246,6 @@ class ArcWriter:
             if prop != self.last_slot:
                 slot = reg._slots[prop]
                 if slot.r_start == slot.r_end.load():
-                    self.last_scan_len = 0
                     return prop
         scanned = 0
         last = self.last_slot
@@ -265,7 +254,6 @@ class ArcWriter:
             if idx == last:
                 continue
             if slot.r_start == slot.r_end.load():
-                self.last_scan_len = scanned
                 if scanned > self.max_scan_len:
                     self.max_scan_len = scanned
                 return idx

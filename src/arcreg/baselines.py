@@ -14,7 +14,6 @@ import time
 
 from .api import (
     CapacityError,
-    ConfigurationError,
     InvariantViolation,
     Register,
     RegisterKind,
@@ -72,11 +71,7 @@ class RfRegister(Register):
                 f"readers, got {n_readers}"
             )
         super().__init__(n_readers, max_size)
-        size = len(initial)
-        if not 1 <= size <= max_size:
-            raise ConfigurationError(
-                f"initial value of {size} bytes does not fit max_size={max_size}"
-            )
+        size = self._fit(initial)
         self._buffers = [_Buffer(self._new_content_buffer()) for _ in range(n_readers + 2)]
         self._copy_in(self._buffers[0].content, initial)
         self._buffers[0].size = size
@@ -158,14 +153,13 @@ class RfReader:
 
 
 class RfWriter:
-    __slots__ = ("_reg", "_current", "writes", "rmw_ops", "last_scan_len", "max_scan_len")
+    __slots__ = ("_reg", "_current", "writes", "rmw_ops", "max_scan_len")
 
     def __init__(self, reg: RfRegister) -> None:
         self._reg = reg
         self._current = 0
         self.writes = 0
         self.rmw_ops = 0
-        self.last_scan_len = 0
         self.max_scan_len = 0
 
     def write(self, data) -> None:
@@ -177,11 +171,7 @@ class RfWriter:
         forbidden, leaving at least one of the N+2 buffers free.
         """
         reg = self._reg
-        size = len(data)
-        if not 1 <= size <= reg.max_size:
-            raise ConfigurationError(
-                f"write of {size} bytes does not fit max_size={reg.max_size}"
-            )
+        size = reg._fit(data)
         mask = reg._status & _RF_MASK
         forbidden = {self._current}
         reader_id = 0
@@ -204,7 +194,6 @@ class RfWriter:
                 "no free buffer among N+2: field accounting falsified "
                 "(implementation bug)"
             )
-        self.last_scan_len = scanned
         if scanned > self.max_scan_len:
             self.max_scan_len = scanned
         buf = reg._buffers[target]
@@ -256,13 +245,11 @@ class PetersonRegister(Register):
 
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         super().__init__(n_readers, max_size)
-        size = len(initial)
-        if not 1 <= size <= max_size:
-            raise ConfigurationError(
-                f"initial value of {size} bytes does not fit max_size={max_size}"
-            )
+        size = self._fit(initial)
         self._allocated_buffers = n_readers + 1  # writer cell + report cells
-        snap0 = (0, size, bytes(initial))
+        content = bytearray(size)  # one fresh buffer per value, not a slot
+        self._copy_in(content, initial)
+        snap0 = (0, size, content)
         self._wcell = _Cell(snap0)
         self._rcells = [_Cell(snap0) for _ in range(n_readers)]
 
@@ -310,13 +297,11 @@ class PetersonWriter:
 
     def write(self, data) -> None:
         reg = self._reg
-        size = len(data)
-        if not 1 <= size <= reg.max_size:
-            raise ConfigurationError(
-                f"write of {size} bytes does not fit max_size={reg.max_size}"
-            )
+        size = reg._fit(data)
+        content = bytearray(size)
+        reg._copy_in(content, data)
         self._seq += 1
-        reg._wcell.snap = (self._seq, size, bytes(memoryview(data)))
+        reg._wcell.snap = (self._seq, size, content)
         self.writes += 1
 
 
@@ -351,11 +336,7 @@ class RwlockRegister(Register):
 
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         super().__init__(n_readers, max_size)
-        size = len(initial)
-        if not 1 <= size <= max_size:
-            raise ConfigurationError(
-                f"initial value of {size} bytes does not fit max_size={max_size}"
-            )
+        size = self._fit(initial)
         self._word = AtomicU64(0)
         self._content = self._new_content_buffer()
         self._copy_in(self._content, initial)
@@ -430,11 +411,7 @@ class RwlockWriter:
 
     def write(self, data) -> None:
         reg = self._reg
-        size = len(data)
-        if not 1 <= size <= reg.max_size:
-            raise ConfigurationError(
-                f"write of {size} bytes does not fit max_size={reg.max_size}"
-            )
+        size = reg._fit(data)
         word = reg._word
         word.fetch_or(_WRITER_BIT)
         self.rmw_ops += 1

@@ -135,12 +135,11 @@ def make_register(cfg: BenchConfig):
 
 
 class _RunControl:
-    __slots__ = ("stop", "errors", "ops")
+    __slots__ = ("stop", "errors")
 
-    def __init__(self, n_threads: int) -> None:
+    def __init__(self) -> None:
         self.stop = False
         self.errors: list[BaseException] = []
-        self.ops = [0] * n_threads
 
 
 def _pin_current_thread(slot: int) -> None:
@@ -156,32 +155,25 @@ def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
             _pin_current_thread(slot)
         barrier.wait()
         now = time.monotonic_ns
-        size = cfg.size
-        n = 0
         if cfg.mode == "work" and cfg.verify:
             while not ctl.stop:
                 t0 = now()
                 buf, sz = handle.read()
                 seq, intact = decode_versioned(buf, sz)
                 recorder.record_read(t0, now(), seq, intact)
-                n += 1
         elif cfg.mode == "work":
             while not ctl.stop:
                 buf, sz = handle.read()
                 decode_versioned(buf, sz)
-                n += 1
         elif cfg.verify:  # hold + verify: peek the version word only
             while not ctl.stop:
                 t0 = now()
                 buf, sz = handle.read()
                 seq = int.from_bytes(buf[:8], "little")
                 recorder.record_read(t0, now(), seq, True)
-                n += 1
         else:
             while not ctl.stop:
                 handle.read()
-                n += 1
-        ctl.ops[slot] = n
     except BaseException as exc:  # surfaced after join
         ctl.errors.append(exc)
         ctl.stop = True
@@ -199,7 +191,6 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
         barrier.wait()
         now = time.monotonic_ns
         seq = 0
-        n = 0
         if cfg.mode == "hold":
             while not ctl.stop:
                 seq += 1
@@ -210,7 +201,6 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
                     recorder.record_write(t0, now(), seq)
                 else:
                     handle.write(template)
-                n += 1
         else:
             while not ctl.stop:
                 seq += 1
@@ -221,8 +211,6 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
                     recorder.record_write(t0, now(), seq)
                 else:
                     handle.write(data)
-                n += 1
-        ctl.ops[slot] = n
     except BaseException as exc:
         ctl.errors.append(exc)
         ctl.stop = True
@@ -231,11 +219,12 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
 def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
     register = register_factory(cfg)
     n_threads = cfg.readers + 1
-    ctl = _RunControl(n_threads)
+    ctl = _RunControl()
     barrier = threading.Barrier(n_threads + 1)
     recorders = [Recorder(i) for i in range(n_threads)] if cfg.verify else [None] * n_threads
 
     writer_handle = register.writer()
+    reader_handles = [register.new_reader() for _ in range(cfg.readers)]
     threads = []
     if cfg.writer_enabled:
         threads.append(
@@ -248,8 +237,7 @@ def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
         )
     else:
         barrier = threading.Barrier(n_threads)  # no writer participating
-    for i in range(cfg.readers):
-        handle = register.new_reader()
+    for i, handle in enumerate(reader_handles):
         threads.append(
             threading.Thread(
                 target=_reader_loop,
@@ -272,7 +260,9 @@ def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
             time.sleep(0.02)
             if ctl.stop:
                 break
-            if time.monotonic() >= deadline and sum(ctl.ops) + _inflight_ops(register) >= cfg.min_ops:
+            if time.monotonic() >= deadline and (
+                writer_handle.writes + sum(h.reads for h in reader_handles) >= cfg.min_ops
+            ):
                 break
         ctl.stop = True
         t_stop = time.monotonic()
@@ -285,8 +275,8 @@ def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
         raise ctl.errors[0]
 
     elapsed = t_stop - t_start
-    writes = ctl.ops[0]
-    reads = sum(ctl.ops[1:])
+    writes = writer_handle.writes
+    reads = sum(h.reads for h in reader_handles)
     read_rmw, write_rmw = register.rmw_counters()
     no_past = inversions = torn = 0
     if cfg.verify:
@@ -295,7 +285,7 @@ def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
         no_past = len(report.no_past)
         inversions = len(report.inversions)
         torn = report.torn_reads
-    max_read_rmw = max((r.max_read_rmw for r in register._readers), default=0)
+    max_read_rmw = max(h.max_read_rmw for h in reader_handles)
     max_scan_len = getattr(writer_handle, "max_scan_len", 0)
     return BenchResult(
         algo=cfg.algo,
@@ -315,15 +305,6 @@ def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
         max_read_rmw=max_read_rmw,
         max_scan_len=max_scan_len,
     )
-
-
-def _inflight_ops(register) -> int:
-    # Racy but monotone-ish progress estimate used only for the floor check;
-    # exact counts are collected after join.
-    total = sum(r.reads for r in register._readers)
-    if register._writer is not None:
-        total += register._writer.writes
-    return total
 
 
 def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
@@ -372,8 +353,14 @@ class MatrixSpec:
     def from_json(cls, path) -> "MatrixSpec":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw["algos"] = [RegisterKind.parse(a) for a in raw["algos"]]
-        return cls(**raw)
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"matrix file {path} must hold a JSON object")
+        try:  # a missing or unknown key is a TypeError of the constructor
+            spec = cls(**raw)
+            spec.algos = [RegisterKind.parse(a) for a in spec.algos]
+        except TypeError as exc:
+            raise ConfigurationError(f"matrix file {path}: {exc}") from None
+        return spec
 
 
 def run_matrix(spec: MatrixSpec, register_factory=make_register) -> list[BenchResult]:

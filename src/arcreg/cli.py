@@ -9,7 +9,8 @@ Sweep from a JSON matrix file (overrides the single-run flags):
 
     arcreg-bench --matrix sweep.json --csv out.csv
 
-Exits nonzero if any verification violation occurred.
+Exits 1 if any verification violation occurred, 2 on a bad configuration
+or a malformed matrix file.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import random
 
 from arcreg import ArcRegister, OpRecord
 from arcreg.arc import ArcWriter, COUNTER_MASK, INDEX_SHIFT
-from arcreg.api import ConfigurationError, InvariantViolation
+from arcreg.api import InvariantViolation
 from arcreg.history import INITIAL_SEQ
 
 
@@ -116,9 +116,7 @@ class BrokenArcWriter(ArcWriter):
 
     def write(self, data) -> None:
         reg = self._reg
-        size = len(data)
-        if not 1 <= size <= reg.max_size:
-            raise ConfigurationError("write does not fit max_size")
+        size = reg._fit(data)
         slot_idx = self.find_free_slot()  # W1
         slot = reg._slots[slot_idx]
         slot.r_start = 0

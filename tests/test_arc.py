@@ -9,7 +9,6 @@ import pytest
 from arcreg import (
     ArcRegister,
     CapacityError,
-    ConfigurationError,
     decode_versioned,
     encode_versioned,
     pack,
@@ -89,11 +88,6 @@ def test_single_writer_handle():
 def test_reader_count_bounds(n):
     with pytest.raises(CapacityError):
         ArcRegister(b"\x00" * 8, n, 64)
-
-
-def test_oversized_initial_value_rejected():
-    with pytest.raises(ConfigurationError):
-        ArcRegister(b"\x00" * 65, 1, 64)
 
 
 def test_construction_far_above_identified_reader_limits():
@@ -220,13 +214,6 @@ def test_write_never_reuses_last_slot_even_if_free():
     assert writer.find_free_slot() == 0
 
 
-def test_oversized_write_rejected():
-    reg = make(max_size=64)
-    writer = reg.writer()
-    with pytest.raises(ConfigurationError):
-        writer.write(b"\x00" * 65)
-
-
 def test_scan_length_never_exceeds_slot_count():
     reg = make(n_readers=2)
     reader = reg.new_reader()
@@ -263,7 +250,7 @@ def test_valid_proposal_is_used_without_scanning():
     writer = reg.writer()
     reg._proposal = 3
     assert writer.find_free_slot() == 3
-    assert writer.last_scan_len == 0
+    assert writer.max_scan_len == 0
     assert reg._proposal == NO_PROPOSAL  # consumed
 
 

@@ -9,6 +9,7 @@ from arcreg import (
     ArcRegister,
     BenchConfig,
     CapacityError,
+    ConfigurationError,
     PetersonRegister,
     RegisterKind,
     RfRegister,
@@ -17,9 +18,11 @@ from arcreg import (
     encode_versioned,
     run_bench,
 )
+from arcreg.arc import NO_PROPOSAL
 from arcreg.baselines import _WRITER_BIT
 
 ALL_BASELINES = [RfRegister, PetersonRegister, RwlockRegister]
+ALL_REGISTERS = [ArcRegister, *ALL_BASELINES]
 
 
 def make(cls, n_readers=2, max_size=4096):
@@ -170,14 +173,19 @@ def test_slot_registers_copy_every_source_type(cls):
     assert _read_value(reader) == encode_versioned(4, 256)
 
 
-@pytest.mark.parametrize("cls", [ArcRegister, RfRegister, RwlockRegister])
+@pytest.mark.parametrize("cls", ALL_REGISTERS)
 def test_rejected_source_leaves_register_usable(cls):
     reg = make(cls, max_size=64)
     reader = reg.new_reader()
     writer = reg.writer()
     writer.write(encode_versioned(1, 64))
     assert _read_value(reader) == encode_versioned(1, 64)
-    rejected = [list(range(16)), array("b", range(16)), memoryview(b"x" * 16).cast("c")]
+    rejected = [
+        list(range(16)),
+        array("b", range(16)),
+        memoryview(b"x" * 16).cast("c"),
+        array("q", range(60)),  # 60 items fit max_size=64; its 480 bytes do not
+    ]
     for data in rejected:
         with pytest.raises((TypeError, ValueError)):
             writer.write(data)
@@ -187,6 +195,38 @@ def test_rejected_source_leaves_register_usable(cls):
         assert _read_value(reader) == encode_versioned(1, 64)
     writer.write(encode_versioned(2, 40))
     assert _read_value(reader) == encode_versioned(2, 40)
+
+
+@pytest.mark.parametrize("cls", ALL_REGISTERS)
+def test_oversized_initial_value_rejected(cls):
+    for size in (0, 65):
+        with pytest.raises(ConfigurationError):
+            cls(b"\x01" * size, 1, 64)
+    reg = cls(b"\x01" * 64, 1, 64)  # exactly max_size fits
+    assert _read_value(reg.new_reader()) == b"\x01" * 64
+
+
+@pytest.mark.parametrize("cls", ALL_REGISTERS)
+def test_oversized_write_rejected(cls):
+    reg = make(cls, n_readers=1, max_size=64)
+    reader = reg.new_reader()
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 64))  # exactly max_size fits
+    assert _read_value(reader) == encode_versioned(1, 64)
+    counters, writes = reg.rmw_counters(), writer.writes
+    if cls is ArcRegister:
+        # The reader's release freed the initial slot and posted it.
+        hint = reg._proposal
+        assert hint != NO_PROPOSAL
+    for size in (0, 65):
+        with pytest.raises(ConfigurationError):
+            writer.write(b"\x02" * size)
+        # Checked before any lock, hint or publication is touched.
+        assert reg.rmw_counters() == counters
+        assert writer.writes == writes
+        if cls is ArcRegister:
+            assert reg._proposal == hint
+    assert _read_value(reader) == encode_versioned(1, 64)
 
 
 def test_peterson_write_back_propagates_between_readers():

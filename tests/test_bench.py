@@ -189,9 +189,21 @@ def test_cli_verified_run_exit_code(tmp_path):
     assert rc == 0
 
 
-def test_cli_rejects_bad_config():
+def test_cli_rejects_bad_config(tmp_path):
     rc = cli_main(["--algo", "rf", "--readers", "99", "--duration", "0.1"])
     assert rc == 2
+    # A malformed matrix file is a bad configuration too, not a failed run.
+    malformed = [
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "threads": 4},  # unknown key
+        {"algos": ["arc"], "sizes": [64]},  # missing key
+        [{"algos": ["arc"], "readers": [1], "sizes": [64]}],  # not an object
+    ]
+    path = tmp_path / "sweep.json"
+    for sweep in malformed:
+        path.write_text(json.dumps(sweep))
+        with pytest.raises(ConfigurationError):
+            MatrixSpec.from_json(path)
+        assert cli_main(["--matrix", str(path)]) == 2
 
 
 def test_cli_matrix_mode(tmp_path):
