@@ -170,9 +170,19 @@ class Register:
     def _fit(self, data) -> int:
         """Return the size of ``data`` if it is a legal register value.
 
-        Every initial value and every write passes here before anything
-        else happens, so a rejected value leaves the register untouched.
+        A legal value is a one-dimensional byte-format buffer (``bytes``,
+        ``bytearray``, a ``'B'`` memoryview) of 1..``max_size`` bytes:
+        exactly the sources ``_copy_in`` takes. Every initial value and
+        every write passes here before anything else happens, so a
+        rejected value leaves the register untouched.
         """
+        if type(data) is not bytes and type(data) is not bytearray:
+            view = memoryview(data)  # TypeError for a non-buffer
+            if view.format != "B" or view.ndim != 1:
+                raise TypeError(
+                    f"value must be a byte-format buffer, got format "
+                    f"{view.format!r} with {view.ndim} dimensions"
+                )
         size = len(data)
         if not 1 <= size <= self.max_size:
             raise ConfigurationError(
@@ -186,9 +196,8 @@ class Register:
 
         Slice assignment to a ``bytearray`` first copies any source that is
         not itself a ``bytearray`` into a temporary; a memoryview target
-        reads the source's buffer directly. A source that is not a
-        byte-format buffer (``bytes``, ``bytearray``, a ``'B'`` memoryview)
-        raises ``TypeError`` or ``ValueError`` before any byte moves.
+        reads the source's buffer directly. ``_fit`` has already refused
+        every source this copy cannot take.
         """
         memoryview(buf)[: len(data)] = data
 

@@ -143,6 +143,15 @@ class ArcReader:
         slot-transition path executes exactly two (R3 increment, R4
         add-and-fetch). The returned buffer stays stable until this
         handle's next ``read()``.
+
+        Free-slot hint: R3's increment returns the released slot's new
+        ``r_end``. If it equals the frozen ``r_start``, this release closed
+        the slot's count, so this reader, and only this one, posts the slot
+        as the writer's hint (an unconditional overwrite of the one hint
+        word). A release that lands before the writer's W3 freeze sees
+        ``r_start == 0`` against a result of at least 1 and posts nothing;
+        the writer's scan finds that slot once it is frozen. The writer
+        revalidates every hint, so a stale one costs a scan, never safety.
         """
         reg = self._reg
         self.reads += 1
@@ -151,8 +160,9 @@ class ArcReader:
         if index == last:
             slot = reg._slots[last]
             return slot.content, slot.size  # R2: cached, no RMW
-        reg._slots[last].r_end.add_and_fetch(1)  # R3: release previous slot
-        self.propose_free_slot(last)
+        released = reg._slots[last]
+        if released.r_end.add_and_fetch(1) == released.r_start:  # R3: release
+            reg._proposal = last  # the count just closed: post the hint
         tmp = reg._current.add_and_fetch(1)  # R4: bind to the newest slot
         self.rmw_ops += 2
         if self.max_read_rmw < 2:
@@ -164,19 +174,6 @@ class ArcReader:
         self.last_index = tmp >> INDEX_SHIFT  # R5
         slot = reg._slots[self.last_index]
         return slot.content, slot.size
-
-    def propose_free_slot(self, released_slot: int) -> None:
-        """Post ``released_slot`` as a free-slot hint if it looks free.
-
-        Called right after this reader's R3 increment. If the release made
-        ``r_end`` catch up with the frozen ``r_start``, the slot is free and
-        its index is posted (unconditional overwrite of the single hint
-        word). The writer revalidates before use, so stale hints are safe.
-        """
-        reg = self._reg
-        slot = reg._slots[released_slot]
-        if slot.r_end.load() == slot.r_start:
-            reg._proposal = released_slot
 
     def finish(self) -> None:
         """No-op; a parked presence unit is harmless (see module caveat)."""

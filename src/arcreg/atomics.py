@@ -42,32 +42,50 @@ class AtomicU64:
         """Plain atomic store (release under the GIL). Not an RMW."""
         self._value = value & _MASK64
 
+    # Each RMW takes the lock with acquire()/try/finally instead of ``with``:
+    # the context-manager protocol adds an ``__exit__(None, None, None)``
+    # call that costs more than the lock itself, and every slot transition
+    # pays for it twice. The ``finally`` still releases the lock when an
+    # operand raises, so a bad operand cannot wedge the word.
+
     def add_and_fetch(self, delta: int) -> int:
         """RMW: add ``delta`` (wrapping) and return the new value."""
-        with self._lock:
-            self._value = (self._value + delta) & _MASK64
-            return self._value
+        self._lock.acquire()
+        try:
+            new = self._value = (self._value + delta) & _MASK64
+        finally:
+            self._lock.release()
+        return new
 
     def exchange(self, value: int) -> int:
         """RMW: store ``value`` and return the previous value."""
-        with self._lock:
+        self._lock.acquire()
+        try:
             old = self._value
             self._value = value & _MASK64
-            return old
+        finally:
+            self._lock.release()
+        return old
 
     def fetch_or(self, bits: int) -> int:
         """RMW: OR ``bits`` into the word and return the previous value."""
-        with self._lock:
+        self._lock.acquire()
+        try:
             old = self._value
             self._value = (old | bits) & _MASK64
-            return old
+        finally:
+            self._lock.release()
+        return old
 
     def fetch_and(self, bits: int) -> int:
         """RMW: AND ``bits`` into the word and return the previous value."""
-        with self._lock:
+        self._lock.acquire()
+        try:
             old = self._value
             self._value = old & bits & _MASK64
-            return old
+        finally:
+            self._lock.release()
+        return old
 
     def __repr__(self) -> str:
         return f"AtomicU64({self._value:#x})"

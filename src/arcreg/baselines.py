@@ -81,34 +81,47 @@ class RfRegister(Register):
         self._fields = [_RF_NO_FIELD] * n_readers
 
     # Status-word operations. Each takes the word's lock exactly like the
-    # AtomicU64 RMWs and counts as one RMW instruction.
+    # AtomicU64 RMWs (acquire/try/finally, no ``with``) and counts as one
+    # RMW instruction.
 
     def _status_fetch_or(self, bits: int) -> int:
-        with self._status_lock:
+        self._status_lock.acquire()
+        try:
             old = self._status
             self._status = old | bits
-            return old
+        finally:
+            self._status_lock.release()
+        return old
 
     def _status_fetch_and(self, bits: int) -> int:
-        with self._status_lock:
+        self._status_lock.acquire()
+        try:
             old = self._status
             self._status = old & bits
-            return old
+        finally:
+            self._status_lock.release()
+        return old
 
     def _status_bind(self, reader_id: int, bit: int) -> int:
         # Composite bind: set the presence bit, read the current index, and
         # announce it in the reader's field as one indivisible step.
-        with self._status_lock:
+        self._status_lock.acquire()
+        try:
             self._status |= bit
             idx = self._status >> _RF_INDEX_SHIFT
             self._fields[reader_id] = idx
-            return idx
+        finally:
+            self._status_lock.release()
+        return idx
 
     def _status_publish(self, new_index: int) -> int:
-        with self._status_lock:
+        self._status_lock.acquire()
+        try:
             old = self._status
             self._status = (old & _RF_MASK) | (new_index << _RF_INDEX_SHIFT)
-            return old
+        finally:
+            self._status_lock.release()
+        return old
 
     def _make_reader(self, reader_id: int) -> "RfReader":
         return RfReader(self, reader_id)

@@ -357,10 +357,42 @@ class MatrixSpec:
             raise ConfigurationError(f"matrix file {path} must hold a JSON object")
         try:  # a missing or unknown key is a TypeError of the constructor
             spec = cls(**raw)
-            spec.algos = [RegisterKind.parse(a) for a in spec.algos]
         except TypeError as exc:
             raise ConfigurationError(f"matrix file {path}: {exc}") from None
+        for name, (expected, check) in _MATRIX_TYPES.items():
+            value = getattr(spec, name)
+            if not check(value):
+                raise ConfigurationError(
+                    f"matrix file {path}: {name} must be {expected}, got {value!r}"
+                )
+        spec.algos = [RegisterKind.parse(a) for a in spec.algos]
         return spec
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int
+
+
+def _is_positive_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) and v > 0 for v in value)
+
+
+# The JSON type each matrix-file field must have: (description, check).
+_MATRIX_TYPES = {
+    "algos": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+    ),
+    "readers": ("a list of positive integers", _is_positive_int_list),
+    "sizes": ("a list of positive integers", _is_positive_int_list),
+    "duration": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "mode": ("a string", lambda v: isinstance(v, str)),
+    "verify": ("a boolean", lambda v: isinstance(v, bool)),
+    "seed": ("an integer", _is_int),
+    "pin": ("a boolean", lambda v: isinstance(v, bool)),
+    "repeat": ("an integer", _is_int),
+    "min_ops": ("an integer", _is_int),
+}
 
 
 def run_matrix(spec: MatrixSpec, register_factory=make_register) -> list[BenchResult]:

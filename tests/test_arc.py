@@ -164,6 +164,55 @@ def test_write_landing_between_r1_and_r4_is_adopted():
     assert reg._slots[0].r_end.load() == 1
 
 
+def test_release_between_w2_and_w3_posts_no_hint():
+    # Interleaving where a reader's R3 on the slot being retired lands after
+    # the publish (W2) but before the freeze (W3): the slot's r_start is
+    # still 0, so the release cannot close its count and posts nothing. The
+    # next write's scan finds the slot once W3 has frozen it.
+    reg = make(n_readers=1)
+    reader = reg.new_reader()  # parked on slot 0, the one being retired
+    writer = reg.writer()
+
+    class InterposingWord:
+        def __init__(self, inner, hook):
+            self.inner, self.hook, self.fired = inner, hook, False
+
+        def load(self):
+            return self.inner.load()
+
+        def add_and_fetch(self, delta):
+            return self.inner.add_and_fetch(delta)
+
+        def exchange(self, value):
+            old = self.inner.exchange(value)
+            if not self.fired:
+                self.fired = True
+                self.hook()
+            return old
+
+    seen = []
+
+    def read_in_gap():
+        assert reg._slots[0].r_start == 0  # W3 has not frozen the slot yet
+        seen.append(decode_versioned(*reader.read()))
+        seen.append(reg._proposal)
+
+    word = reg._current
+    reg._current = InterposingWord(word, read_in_gap)
+    try:
+        writer.write(encode_versioned(1, 4096))
+    finally:
+        reg._current = word
+
+    assert seen == [(1, True), NO_PROPOSAL]  # read the new value, no hint
+    assert reg._proposal == NO_PROPOSAL
+    released = reg._slots[0]
+    assert (released.r_start, released.r_end.load()) == (1, 1)  # free after W3
+    writer.write(encode_versioned(2, 4096))
+    assert writer.last_slot == 0  # the scan picked the released slot
+    assert decode_versioned(*reader.read()) == (2, True)
+
+
 def test_reads_are_bounded_to_two_rmw():
     reg = make(n_readers=2)
     reader = reg.new_reader()

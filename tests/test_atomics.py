@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from arcreg import AtomicU64
 
 
@@ -45,3 +47,27 @@ def test_contended_increments_are_lost_update_free():
     for t in threads:
         t.join()
     assert w.load() == per_thread * n_threads
+
+
+@pytest.mark.parametrize(
+    "op, operand",
+    [
+        ("add_and_fetch", "x"),
+        ("exchange", None),
+        ("fetch_or", "x"),
+        ("fetch_and", None),
+    ],
+)
+def test_failed_rmw_releases_its_lock(op, operand):
+    w = AtomicU64(5)
+    with pytest.raises(TypeError):
+        getattr(w, op)(operand)
+    assert w.load() == 5
+    # A lock left held would block this RMW forever; run it on another
+    # thread so the test fails instead of hanging.
+    results = []
+    t = threading.Thread(target=lambda: results.append(w.add_and_fetch(1)), daemon=True)
+    t.start()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert results == [6]

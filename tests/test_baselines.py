@@ -175,20 +175,31 @@ def test_slot_registers_copy_every_source_type(cls):
 
 @pytest.mark.parametrize("cls", ALL_REGISTERS)
 def test_rejected_source_leaves_register_usable(cls):
-    reg = make(cls, max_size=64)
+    reg = make(cls, n_readers=1, max_size=64)
     reader = reg.new_reader()
     writer = reg.writer()
     writer.write(encode_versioned(1, 64))
     assert _read_value(reader) == encode_versioned(1, 64)
+    if cls is ArcRegister:
+        # The reader's release freed the initial slot and posted it.
+        hint = reg._proposal
+        assert hint != NO_PROPOSAL
     rejected = [
         list(range(16)),
         array("b", range(16)),
         memoryview(b"x" * 16).cast("c"),
+        memoryview(b"x" * 16).cast("B", [2, 8]),
         array("q", range(60)),  # 60 items fit max_size=64; its 480 bytes do not
     ]
     for data in rejected:
-        with pytest.raises((TypeError, ValueError)):
+        counters, writes = reg.rmw_counters(), writer.writes
+        with pytest.raises(TypeError):
             writer.write(data)
+        # Refused before any lock, hint or publication is touched.
+        assert reg.rmw_counters() == counters
+        assert writer.writes == writes
+        if cls is ArcRegister:
+            assert reg._proposal == hint
         if cls is RwlockRegister:
             # Checked before reading: a stuck writer bit would hang read().
             assert not reg._word.load() & _WRITER_BIT

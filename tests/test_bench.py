@@ -197,6 +197,12 @@ def test_cli_rejects_bad_config(tmp_path):
         {"algos": ["arc"], "readers": [1], "sizes": [64], "threads": 4},  # unknown key
         {"algos": ["arc"], "sizes": [64]},  # missing key
         [{"algos": ["arc"], "readers": [1], "sizes": [64]}],  # not an object
+        {"algos": ["arc"], "readers": 1, "sizes": [64]},  # an int, not a list
+        {"algos": "arc", "readers": [1], "sizes": [64]},  # a string, not a list
+        {"algos": ["arc"], "readers": [0], "sizes": [64]},  # not positive
+        {"algos": ["arc"], "readers": [1], "sizes": [True]},  # a bool, not an int
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "duration": "1"},
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "verify": 1},
     ]
     path = tmp_path / "sweep.json"
     for sweep in malformed:
