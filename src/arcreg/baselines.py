@@ -1,7 +1,8 @@
 """Comparison registers: readers-field, a multi-copy construction, a spinlock.
 
-These are reconstructions for benchmark parity, not bit-exact ports; each
-class documents the liberties taken. All three honor the shared register
+The readers-field register follows its published protocol; the other two
+are reconstructions for benchmark parity, not bit-exact ports, and document
+the liberties taken. All three honor the shared register
 contract (single writer, N readers, views stable until the reader's next
 operation) and are validated by the same history checks as the primary
 register, which is the arbiter of their correctness.
@@ -9,7 +10,6 @@ register, which is the arbiter of their correctness.
 
 from __future__ import annotations
 
-import threading
 import time
 
 from .api import (
@@ -35,31 +35,27 @@ class _Buffer:
 # ---------------------------------------------------------------------------
 
 _RF_INDEX_SHIFT = 58
-_RF_MASK = (1 << 58) - 1
-_RF_NO_FIELD = -1
 
 
 class RfRegister(Register):
-    """Identified-readers register: one presence bit per reader.
+    """Readers-field register: one presence bit per reader, N+2 buffers.
 
-    A 64-bit status word packs a 58-bit reader presence mask (one bit per
-    reader, hence the hard 58-reader cap) next to a 6-bit current-buffer
-    index. Every read marks itself visible with a fetch-or on the status
-    word -- at least one RMW per read, unconditionally -- and announces the
-    buffer it reads in its per-reader field; the writer's free-buffer
-    search walks the fields of all present readers (O(N)) and avoids the
-    announced buffers plus the current one, so N+2 buffers always leave one
-    free.
+    The readers-field construction of Larsson, Gidenstam, Ha, Papatriantafilou
+    and Tsigas ("Multiword atomic read/write registers on multiprocessor
+    systems", ACM JEA 2009). One 64-bit status word holds the current
+    buffer's index in its top 6 bits and one presence bit per reader in the
+    other 58, hence the hard 58-reader cap.
 
-    Reconstruction notes: the original protocol is described here only by
-    its observable behavior (one fetch-or per read, O(N) writes, 58-reader
-    cap, N+2 buffers). To make bit-plus-field announcement indivisible --
-    which single-word RMW hardware achieves with a trick this codebase does
-    not reproduce -- the bind step performs the OR and the field store under
-    the status word's own lock and is counted as one RMW. A reader's
-    presence bit is released at its next slot-transition read, mirroring
-    the primary register's consumption model, so returned views stay stable
-    while held.
+    A read is one fetch-or of the reader's bit; the index in the returned
+    word names the buffer to read. Exactly one RMW per read, with no branch,
+    whether or not the value moved on. A write copies into a free buffer
+    and publishes it with one exchange that also clears every presence bit.
+    The bits it swapped out name the readers that may still hold the
+    retired buffer; the writer records that buffer in its per-reader trace.
+    A reader's trace entry changes only after the reader has set its bit
+    again, that is, after its next read, so the buffer it holds stays out
+    of reach until then. The writer avoids the current buffer and the N
+    traced ones, so N+2 buffers always leave one free.
     """
 
     kind = RegisterKind.RF
@@ -75,53 +71,8 @@ class RfRegister(Register):
         self._buffers = [_Buffer(self._new_content_buffer()) for _ in range(n_readers + 2)]
         self._copy_in(self._buffers[0].content, initial)
         self._buffers[0].size = size
-        # status = index << 58 | presence mask; buffer 0 current, no readers.
-        self._status_lock = threading.Lock()
-        self._status = 0
-        self._fields = [_RF_NO_FIELD] * n_readers
-
-    # Status-word operations. Each takes the word's lock exactly like the
-    # AtomicU64 RMWs (acquire/try/finally, no ``with``) and counts as one
-    # RMW instruction.
-
-    def _status_fetch_or(self, bits: int) -> int:
-        self._status_lock.acquire()
-        try:
-            old = self._status
-            self._status = old | bits
-        finally:
-            self._status_lock.release()
-        return old
-
-    def _status_fetch_and(self, bits: int) -> int:
-        self._status_lock.acquire()
-        try:
-            old = self._status
-            self._status = old & bits
-        finally:
-            self._status_lock.release()
-        return old
-
-    def _status_bind(self, reader_id: int, bit: int) -> int:
-        # Composite bind: set the presence bit, read the current index, and
-        # announce it in the reader's field as one indivisible step.
-        self._status_lock.acquire()
-        try:
-            self._status |= bit
-            idx = self._status >> _RF_INDEX_SHIFT
-            self._fields[reader_id] = idx
-        finally:
-            self._status_lock.release()
-        return idx
-
-    def _status_publish(self, new_index: int) -> int:
-        self._status_lock.acquire()
-        try:
-            old = self._status
-            self._status = (old & _RF_MASK) | (new_index << _RF_INDEX_SHIFT)
-        finally:
-            self._status_lock.release()
-        return old
+        # status = index << 58 | presence bits; buffer 0 current, no readers.
+        self._status = AtomicU64(0)
 
     def _make_reader(self, reader_id: int) -> "RfReader":
         return RfReader(self, reader_id)
@@ -131,91 +82,76 @@ class RfRegister(Register):
 
 
 class RfReader:
-    __slots__ = ("_reg", "reader_id", "_bit", "_bound", "reads", "rmw_ops", "max_read_rmw")
+    __slots__ = ("_status", "_buffers", "reader_id", "_bit", "reads")
 
     def __init__(self, reg: RfRegister, reader_id: int) -> None:
-        self._reg = reg
+        self._status = reg._status
+        self._buffers = reg._buffers
         self.reader_id = reader_id
         self._bit = 1 << reader_id
-        self._bound = _RF_NO_FIELD  # no binding until the first read
         self.reads = 0
-        self.rmw_ops = 0
-        self.max_read_rmw = 0
 
     def read(self):
-        """Return ``(buffer, size)``; always executes at least one RMW."""
-        reg = self._reg
+        """Return ``(buffer, size)`` of the current value (one fetch-or)."""
         self.reads += 1
-        status = reg._status_fetch_or(self._bit)  # visible-read mark
-        rmw = 1
-        idx = status >> _RF_INDEX_SHIFT
-        if idx != self._bound:
-            # Value moved on: release the old binding, then atomically
-            # rebind-and-announce on whatever is current at that instant.
-            reg._status_fetch_and(~self._bit)
-            self._bound = reg._status_bind(self.reader_id, self._bit)
-            rmw = 3
-        self.rmw_ops += rmw
-        if rmw > self.max_read_rmw:
-            self.max_read_rmw = rmw
-        buf = reg._buffers[self._bound]
+        buf = self._buffers[self._status.fetch_or(self._bit) >> _RF_INDEX_SHIFT]
         return buf.content, buf.size
 
+    @property
+    def rmw_ops(self) -> int:
+        return self.reads  # one fetch-or per read
+
+    @property
+    def max_read_rmw(self) -> int:
+        return 1 if self.reads else 0
+
     def finish(self) -> None:
-        """No-op; a parked presence bit only retires one buffer."""
+        """No-op; the writer's trace keeps the last buffer read out of reach."""
 
 
 class RfWriter:
-    __slots__ = ("_reg", "_current", "writes", "rmw_ops", "max_scan_len")
+    __slots__ = ("_reg", "_current", "_trace", "writes", "rmw_ops", "max_scan_len")
 
     def __init__(self, reg: RfRegister) -> None:
         self._reg = reg
         self._current = 0
+        # trace[r]: the retired buffer reader r may still hold. Buffer 0 is
+        # current at start, so zeros need no sentinel.
+        self._trace = [0] * reg.n_readers
         self.writes = 0
         self.rmw_ops = 0
         self.max_scan_len = 0
 
     def write(self, data) -> None:
-        """Copy ``data`` into an untraced buffer and publish it (one RMW).
-
-        Any reader bound to a buffer has its presence bit and field
-        announcement set indivisibly, so the field walk below cannot miss
-        a live binding; at most N fields plus the current buffer are
-        forbidden, leaving at least one of the N+2 buffers free.
-        """
+        """Copy ``data`` into an untraced buffer and publish it (one RMW)."""
         reg = self._reg
         size = reg._fit(data)
-        mask = reg._status & _RF_MASK
-        forbidden = {self._current}
-        reader_id = 0
-        while mask:
-            if mask & 1:
-                field = reg._fields[reader_id]
-                if field != _RF_NO_FIELD:
-                    forbidden.add(field)
-            mask >>= 1
-            reader_id += 1
-        target = -1
-        scanned = 0
-        for idx in range(len(reg._buffers)):
-            scanned += 1
-            if idx not in forbidden:
-                target = idx
+        trace = self._trace
+        forbidden = set(trace)
+        forbidden.add(self._current)
+        for target in range(len(reg._buffers)):
+            if target not in forbidden:
                 break
-        if target < 0:
+        else:
             raise InvariantViolation(
-                "no free buffer among N+2: field accounting falsified "
+                "no free buffer among N+2: trace accounting falsified "
                 "(implementation bug)"
             )
-        if scanned > self.max_scan_len:
-            self.max_scan_len = scanned
+        if target >= self.max_scan_len:
+            self.max_scan_len = target + 1
         buf = reg._buffers[target]
         reg._copy_in(buf.content, data)
         buf.size = size
-        old = reg._status_publish(target)
+        old = reg._status.exchange(target << _RF_INDEX_SHIFT)
         self.rmw_ops += 1
-        if old >> _RF_INDEX_SHIFT != self._current:
+        retired = self._current
+        if old >> _RF_INDEX_SHIFT != retired:
             raise InvariantViolation("published index drifted from writer state")
+        readers = old ^ (retired << _RF_INDEX_SHIFT)
+        while readers:
+            low = readers & -readers
+            trace[low.bit_length() - 1] = retired
+            readers ^= low
         self._current = target
         self.writes += 1
 

@@ -374,17 +374,17 @@ def _is_int(value) -> bool:
 
 
 def _is_positive_int_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(v) and v > 0 for v in value)
+    return isinstance(value, list) and value and all(_is_int(v) and v > 0 for v in value)
 
 
 # The JSON type each matrix-file field must have: (description, check).
 _MATRIX_TYPES = {
     "algos": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+        "a non-empty list of strings",
+        lambda v: isinstance(v, list) and v and all(isinstance(a, str) for a in v),
     ),
-    "readers": ("a list of positive integers", _is_positive_int_list),
-    "sizes": ("a list of positive integers", _is_positive_int_list),
+    "readers": ("a non-empty list of positive integers", _is_positive_int_list),
+    "sizes": ("a non-empty list of positive integers", _is_positive_int_list),
     "duration": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
     "mode": ("a string", lambda v: isinstance(v, str)),
     "verify": ("a boolean", lambda v: isinstance(v, bool)),

@@ -10,7 +10,7 @@ Sweep from a JSON matrix file (overrides the single-run flags):
     arcreg-bench --matrix sweep.json --csv out.csv
 
 Exits 1 if any verification violation occurred, 2 on a bad configuration
-or a malformed matrix file.
+or a malformed matrix file, including a sweep whose every case is skipped.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ def main(argv=None) -> int:
         if args.matrix:
             spec = MatrixSpec.from_json(args.matrix)
             results = run_matrix(spec)
+            if not results:
+                raise ConfigurationError(f"matrix file {args.matrix}: every case was skipped")
         else:
             cfg = BenchConfig(
                 algo=RegisterKind.parse(args.algo),

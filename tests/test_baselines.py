@@ -1,5 +1,6 @@
 """Baseline registers: capacity, RMW profiles, sequential and stressed runs."""
 
+import random
 import threading
 from array import array
 
@@ -70,12 +71,18 @@ def test_rf_at_the_58_reader_cap_constructs():
 def test_rf_quiescent_reads_still_pay_rmw():
     reg = make(RfRegister, n_readers=1)
     reader = reg.new_reader()
+    writer = reg.writer()
     before = 0
     for i in range(1, 51):
-        reader.read()
+        if i % 5 == 0:
+            writer.write(encode_versioned(i, 4096))  # the next read moves on
+        buf, size = reader.read()
         read_rmw, _ = reg.rmw_counters()
-        assert read_rmw > before  # at least one RMW on every read
+        # Exactly one fetch-or per read, quiescent or transition alike.
+        assert read_rmw == before + 1
         before = read_rmw
+    assert decode_versioned(buf, size) == (50, True)
+    assert reader.max_read_rmw == 1
 
 
 def test_rf_one_publication_rmw_per_write():
@@ -96,7 +103,7 @@ def test_rf_bound_view_stays_stable_while_writer_advances():
     snapshot = bytes(buf[:size])
     for seq in range(2, 12):
         writer.write(encode_versioned(seq, 64))
-    assert bytes(buf[:size]) == snapshot  # announced field pins the buffer
+    assert bytes(buf[:size]) == snapshot  # the writer's trace pins the buffer
     got, intact = decode_versioned(*reader.read())
     assert intact and got == 11
 
@@ -107,7 +114,7 @@ def test_rf_with_all_58_readers_parked_on_distinct_buffers():
     readers = [reg.new_reader() for _ in range(58)]
     for seq, reader in enumerate(readers, start=1):
         writer.write(encode_versioned(seq, 64))
-        reader.read()  # binds the buffer just published
+        reader.read()  # holds the buffer just published
     # 58 parked readers + the current buffer still leave a free one.
     writer.write(encode_versioned(100, 64))
     writer.write(encode_versioned(101, 64))
@@ -171,6 +178,31 @@ def test_slot_registers_copy_every_source_type(cls):
     writer.write(caller)
     caller[:] = encode_versioned(9, 256)  # mutate the caller's buffer
     assert _read_value(reader) == encode_versioned(4, 256)
+
+
+@pytest.mark.parametrize("cls", [ArcRegister, RfRegister, PetersonRegister])
+def test_seeded_schedule_keeps_every_held_view_stable(cls):
+    # The spinlock register is left out: a held view blocks its writer.
+    rng = random.Random(5)
+    reg = make(cls, n_readers=3, max_size=64)
+    readers = [reg.new_reader() for _ in range(3)]
+    writer = reg.writer()
+    held = [None] * 3  # (buffer, size, snapshot) per reader
+    seq = 0
+    for _ in range(3000):
+        if rng.random() < 0.4:
+            seq += 1
+            writer.write(encode_versioned(seq, rng.randrange(8, 65)))
+        else:
+            r = rng.randrange(3)
+            buf, size = readers[r].read()
+            assert decode_versioned(buf, size) == (seq, True)
+            held[r] = (buf, size, bytes(buf[:size]))
+        for view in held:
+            if view is not None:
+                buf, size, snapshot = view
+                assert bytes(buf[:size]) == snapshot
+    assert seq > 1000 and all(r.reads > 500 for r in readers)
 
 
 @pytest.mark.parametrize("cls", ALL_REGISTERS)

@@ -203,13 +203,22 @@ def test_cli_rejects_bad_config(tmp_path):
         {"algos": ["arc"], "readers": [1], "sizes": [True]},  # a bool, not an int
         {"algos": ["arc"], "readers": [1], "sizes": [64], "duration": "1"},
         {"algos": ["arc"], "readers": [1], "sizes": [64], "verify": 1},
+        {"algos": ["arc"], "readers": [], "sizes": [64]},  # an empty axis
+        {"algos": [], "readers": [1], "sizes": [64]},
     ]
     path = tmp_path / "sweep.json"
+    out = tmp_path / "out.csv"
     for sweep in malformed:
         path.write_text(json.dumps(sweep))
         with pytest.raises(ConfigurationError):
             MatrixSpec.from_json(path)
         assert cli_main(["--matrix", str(path)]) == 2
+        assert cli_main(["--matrix", str(path), "--csv", str(out)]) == 2
+    # A sweep whose every case is skipped ran nothing: a bad configuration.
+    path.write_text(json.dumps({"algos": ["rf"], "readers": [64], "sizes": [4096]}))
+    assert cli_main(["--matrix", str(path)]) == 2
+    assert cli_main(["--matrix", str(path), "--csv", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_matrix_mode(tmp_path):
