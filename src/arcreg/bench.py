@@ -153,27 +153,29 @@ def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
     try:
         if cfg.pin:
             _pin_current_thread(slot)
+        read = handle.read
+        record = recorder.record_read if recorder is not None else None
         barrier.wait()
         now = time.monotonic_ns
         if cfg.mode == "work" and cfg.verify:
             while not ctl.stop:
                 t0 = now()
-                buf, sz = handle.read()
+                buf, sz = read()
                 seq, intact = decode_versioned(buf, sz)
-                recorder.record_read(t0, now(), seq, intact)
+                record(t0, now(), seq, intact)
         elif cfg.mode == "work":
             while not ctl.stop:
-                buf, sz = handle.read()
+                buf, sz = read()
                 decode_versioned(buf, sz)
         elif cfg.verify:  # hold + verify: peek the version word only
             while not ctl.stop:
                 t0 = now()
-                buf, sz = handle.read()
+                buf, sz = read()
                 seq = int.from_bytes(buf[:8], "little")
-                recorder.record_read(t0, now(), seq, True)
+                record(t0, now(), seq, True)
         else:
             while not ctl.stop:
-                handle.read()
+                read()
     except BaseException as exc:  # surfaced after join
         ctl.errors.append(exc)
         ctl.stop = True
@@ -188,6 +190,8 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
         rng = random.Random(cfg.seed)
         template = bytearray(rng.randbytes(cfg.size))
         template[0:8] = (0).to_bytes(8, "little")
+        write = handle.write
+        record = recorder.record_write if recorder is not None else None
         barrier.wait()
         now = time.monotonic_ns
         seq = 0
@@ -197,20 +201,20 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
                 template[0:8] = seq.to_bytes(8, "little")
                 if cfg.verify:
                     t0 = now()
-                    handle.write(template)
-                    recorder.record_write(t0, now(), seq)
+                    write(template)
+                    record(t0, now(), seq)
                 else:
-                    handle.write(template)
+                    write(template)
         else:
             while not ctl.stop:
                 seq += 1
                 data = encode_versioned(seq, cfg.size)
                 if cfg.verify:
                     t0 = now()
-                    handle.write(data)
-                    recorder.record_write(t0, now(), seq)
+                    write(data)
+                    record(t0, now(), seq)
                 else:
-                    handle.write(data)
+                    write(data)
     except BaseException as exc:
         ctl.errors.append(exc)
         ctl.stop = True

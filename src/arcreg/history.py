@@ -19,12 +19,14 @@ The checks implement the two register correctness conditions:
   the test suite cross-checks that equivalence against a brute-force
   linearization search.
 
-Recording is per-thread and contention-free (flat int64 append buffers);
-merging and checking happen single-threaded after the run.
+Recording is per-thread and contention-free: each operation is one packed
+40-byte row of five native int64 fields, appended whole to a flat
+``array('q')``. Merging and checking happen single-threaded after the run.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -40,6 +42,10 @@ _KIND_CODES = {"read": KIND_READ, "write": KIND_WRITE}
 #: Sequence number of the register's initial value: a virtual write that
 #: completed before every recorded operation.
 INITIAL_SEQ = 0
+
+#: Packs one recorded row, ``kind, invocation, response, seq, intact``, as
+#: five native-endian int64 fields, the layout ``np.frombuffer`` reads back.
+_ROW = struct.Struct("=5q").pack
 
 
 class CorruptedHistoryError(ValueError):
@@ -90,19 +96,25 @@ class InversionViolation:
 
 
 class Recorder:
-    """Per-thread operation recorder (no cross-thread sharing during a run)."""
+    """Per-thread operation recorder (no cross-thread sharing during a run).
 
-    __slots__ = ("thread_id", "_rows")
+    Each operation is packed into one 40-byte row and appended with a single
+    ``frombytes`` call, so a row is appended whole or not at all: a field
+    outside int64 raises before anything is stored.
+    """
+
+    __slots__ = ("thread_id", "_rows", "_put")
 
     def __init__(self, thread_id: int) -> None:
         self.thread_id = thread_id
         self._rows = array("q")
+        self._put = self._rows.frombytes
 
     def record_read(self, invocation_ts: int, response_ts: int, seq: int, intact: bool) -> None:
-        self._rows.extend((KIND_READ, invocation_ts, response_ts, seq, 1 if intact else 0))
+        self._put(_ROW(KIND_READ, invocation_ts, response_ts, seq, 1 if intact else 0))
 
     def record_write(self, invocation_ts: int, response_ts: int, seq: int) -> None:
-        self._rows.extend((KIND_WRITE, invocation_ts, response_ts, seq, 1))
+        self._put(_ROW(KIND_WRITE, invocation_ts, response_ts, seq, 1))
 
     def __len__(self) -> int:
         return len(self._rows) // 5

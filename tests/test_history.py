@@ -1,7 +1,9 @@
 """History checker semantics, export format, and oracle cross-checks."""
 
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from arcreg import (
@@ -177,6 +179,47 @@ def test_recorder_merge_round_trip():
     assert len(h) == 3
     assert check_integrity(h) == 1
     assert sorted(rec.kind for rec in h.records()) == ["read", "read", "write"]
+
+
+def test_packed_rows_match_records_column_by_column():
+    rng = random.Random(11)
+    intacts = [True, False, 0, 1, np.bool_(True), np.bool_(False)]
+    recorders = [Recorder(tid) for tid in range(4)]
+    records = []
+    for rec in recorders:
+        t = 2**62 - 2_000 + rec.thread_id  # timestamps cross 2**62
+        for i in range(1_000):
+            inv = t + rng.randrange(3)
+            resp = inv + rng.randrange(3)
+            t = resp + 1
+            seq = (0, 2**63 - 1, rng.randrange(2**63))[i % 3]
+            if rng.random() < 0.2:
+                rec.record_write(inv, resp, seq)
+                records.append(OpRecord(rec.thread_id, "write", inv, resp, seq))
+            else:
+                intact = intacts[i % len(intacts)]
+                rec.record_read(inv, resp, seq, intact)
+                records.append(OpRecord(rec.thread_id, "read", inv, resp, seq, intact))
+        assert len(rec) == 1_000
+    packed = History.from_recorders(recorders)
+    expected = History.from_records(records)
+    assert len(packed) == len(expected) == 4_000
+    assert expected.invocation.min() < 2**62 < expected.response.max()
+    assert set(expected.seq.tolist()) >= {0, 2**63 - 1}
+    assert set(expected.intact.tolist()) == {0, 1}
+    for column in History.__slots__:
+        got, want = getattr(packed, column), getattr(expected, column)
+        assert got.dtype == want.dtype == np.int64, column
+        assert np.array_equal(got, want), column
+
+
+def test_rejected_row_leaves_recorder_whole():
+    rec = Recorder(3)
+    with pytest.raises((struct.error, OverflowError)):
+        rec.record_read(1, 2, 2**63, True)  # a garbage seq decoded from a torn buffer
+    rec.record_read(3, 4, 1, True)
+    assert len(rec) == 1
+    assert History.from_recorders([rec]).records() == [OpRecord(3, "read", 3, 4, 1, True)]
 
 
 def test_export_import_round_trip(tmp_path):
