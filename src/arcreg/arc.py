@@ -16,9 +16,9 @@ the individual algorithm steps and are referenced by the tests.
 Concurrency contract: exactly one writer handle, at most N reader handles;
 a handle is used by one thread at a time but may migrate between
 operations. The W2 exchange must be a release, the R1 load a single untorn
-acquire load, R3/R4 acquire-release RMWs, and the W3 freeze plus proposal
-stores release stores. :mod:`arcreg.atomics` is sequentially consistent
-under the GIL, which satisfies all of that.
+acquire load, R3/R4 acquire-release RMWs, and the W3 freeze a release
+store. :mod:`arcreg.atomics` is sequentially consistent under the GIL,
+which satisfies all of that.
 
 Liveness caveat: a reader that stops reading keeps one presence unit parked
 on its last slot forever, permanently retiring that one slot. The algorithm
@@ -40,9 +40,6 @@ from .atomics import AtomicU64
 INDEX_SHIFT = 32
 COUNTER_MASK = (1 << 32) - 1
 
-#: Proposal word sentinel: no free-slot hint posted.
-NO_PROPOSAL = -1
-
 
 def pack(index: int, counter: int) -> int:
     """Pack a slot index (upper 32 bits) and presence counter (lower 32)."""
@@ -57,9 +54,9 @@ def unpack(raw: int) -> tuple[int, int]:
 class _Slot:
     """One of the N+2 snapshot holders.
 
-    ``r_start`` is written only by the writer (reset on reuse, frozen on
-    retirement) and read by readers only as a free-slot hint; ``r_end`` is
-    an atomic RMW counter because several readers may release the same slot
+    ``r_start`` is writer-private: reset on reuse, frozen on retirement,
+    and read only by the writer's free-slot search. ``r_end`` is an atomic
+    RMW counter because several readers may release the same slot
     concurrently.
     """
 
@@ -101,7 +98,6 @@ class ArcRegister(Register):
         self._copy_in(self._slots[0].content, initial)
         self._slots[0].size = size
         self._current = AtomicU64(pack(0, n_readers))  # I1
-        self._proposal = NO_PROPOSAL
 
     def _make_reader(self, reader_id: int) -> "ArcReader":
         return ArcReader(self, reader_id)
@@ -125,7 +121,7 @@ class ArcRegister(Register):
 class ArcReader:
     """Per-reader state: the slot this reader is bound to via one unit."""
 
-    __slots__ = ("_reg", "reader_id", "last_index", "reads", "rmw_ops", "max_read_rmw")
+    __slots__ = ("_reg", "reader_id", "last_index", "reads", "rmw_ops")
 
     def __init__(self, reg: ArcRegister, reader_id: int) -> None:
         self._reg = reg
@@ -133,7 +129,6 @@ class ArcReader:
         self.last_index = 0  # init-time unit parked on slot 0
         self.reads = 0
         self.rmw_ops = 0
-        self.max_read_rmw = 0
 
     def read(self):
         """Return ``(buffer, size)`` of the newest published value.
@@ -143,15 +138,6 @@ class ArcReader:
         slot-transition path executes exactly two (R3 increment, R4
         add-and-fetch). The returned buffer stays stable until this
         handle's next ``read()``.
-
-        Free-slot hint: R3's increment returns the released slot's new
-        ``r_end``. If it equals the frozen ``r_start``, this release closed
-        the slot's count, so this reader, and only this one, posts the slot
-        as the writer's hint (an unconditional overwrite of the one hint
-        word). A release that lands before the writer's W3 freeze sees
-        ``r_start == 0`` against a result of at least 1 and posts nothing;
-        the writer's scan finds that slot once it is frozen. The writer
-        revalidates every hint, so a stale one costs a scan, never safety.
         """
         reg = self._reg
         self.reads += 1
@@ -160,13 +146,9 @@ class ArcReader:
         if index == last:
             slot = reg._slots[last]
             return slot.content, slot.size  # R2: cached, no RMW
-        released = reg._slots[last]
-        if released.r_end.add_and_fetch(1) == released.r_start:  # R3: release
-            reg._proposal = last  # the count just closed: post the hint
+        reg._slots[last].r_end.add_and_fetch(1)  # R3: release
         tmp = reg._current.add_and_fetch(1)  # R4: bind to the newest slot
         self.rmw_ops += 2
-        if self.max_read_rmw < 2:
-            self.max_read_rmw = 2
         if reg._debug and (tmp & COUNTER_MASK) > reg.n_readers:
             raise InvariantViolation(
                 f"presence counter {tmp & COUNTER_MASK} exceeds N={reg.n_readers}"
@@ -174,6 +156,10 @@ class ArcReader:
         self.last_index = tmp >> INDEX_SHIFT  # R5
         slot = reg._slots[self.last_index]
         return slot.content, slot.size
+
+    @property
+    def max_read_rmw(self) -> int:
+        return 2 if self.rmw_ops else 0  # every transition read is R3 + R4
 
     def finish(self) -> None:
         """No-op; a parked presence unit is harmless (see module caveat)."""
@@ -194,12 +180,12 @@ class ArcWriter:
     def write(self, data) -> None:
         """Publish ``data`` as the new register value.
 
-        Wait-free: the W1 search always succeeds within N+2 probes because
+        Wait-free: the W1 search always succeeds within N+1 probes because
         at most N presence units are outstanding across retired slots.
         Executes exactly one RMW (the W2 exchange).
         """
         reg = self._reg
-        size = reg._fit(data)  # before W1 consumes the hint
+        size = reg._fit(data)  # before any side effect
         if reg._debug:
             reg._check_outstanding_reads_bound()
         slot_idx = self.find_free_slot()  # W1
@@ -231,30 +217,24 @@ class ArcWriter:
     def find_free_slot(self) -> int:
         """Return a slot index != last_slot whose ``r_start == r_end``.
 
-        Consults the reader-posted hint first (constant time when valid);
-        otherwise clears it and scans from index 0 upward, returning the
-        first free slot. The scan probes at most N+2 slots; exhausting it
-        would falsify the free-slot accounting and aborts loudly.
+        Next fit: the search starts one past ``last_slot``, wraps around,
+        and returns the first free slot, so a write usually probes one or
+        two slots whatever N is. It probes at most the N+1 other slots;
+        exhausting them would falsify the free-slot accounting and aborts
+        loudly.
         """
-        reg = self._reg
-        prop = reg._proposal
-        if prop != NO_PROPOSAL:
-            reg._proposal = NO_PROPOSAL  # consumed or rejected, either way
-            if prop != self.last_slot:
-                slot = reg._slots[prop]
-                if slot.r_start == slot.r_end.load():
-                    return prop
-        scanned = 0
+        slots = self._reg._slots
         last = self.last_slot
-        for idx, slot in enumerate(reg._slots):
-            scanned += 1
-            if idx == last:
-                continue
+        n_slots = len(slots)
+        for probes in range(1, n_slots):
+            idx = (last + probes) % n_slots
+            slot = slots[idx]
             if slot.r_start == slot.r_end.load():
-                if scanned > self.max_scan_len:
-                    self.max_scan_len = scanned
+                if probes > self.max_scan_len:
+                    self.max_scan_len = probes
                 return idx
         raise InvariantViolation(
-            "no free slot among N+2: free-slot accounting falsified "
+            f"no free slot: N={self._reg.n_readers}, last_slot={last}, and all "
+            f"{n_slots - 1} other slots busy; free-slot accounting falsified "
             "(implementation bug)"
         )

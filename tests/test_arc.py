@@ -4,23 +4,32 @@ The expected values in these tests were derived by executing the read and
 write step sequences (R1..R5, W1..W3, I1) by hand from the initial state.
 """
 
+import random
+
 import pytest
 
 from arcreg import (
     ArcRegister,
     CapacityError,
+    InvariantViolation,
     decode_versioned,
     encode_versioned,
     pack,
     unpack,
 )
-from arcreg.arc import NO_PROPOSAL
+from arcreg.atomics import AtomicU64
 
 
 def make(n_readers=2, max_size=4096, initial_seq=0, debug=False):
     return ArcRegister(
         encode_versioned(initial_seq, max_size), n_readers, max_size, debug=debug
     )
+
+
+def busy(reg, *indices):
+    for idx in indices:
+        reg._slots[idx].r_start = 2  # frozen with an outstanding unit
+        reg._slots[idx].r_end.store(1)
 
 
 # -- packed word ------------------------------------------------------------
@@ -50,7 +59,6 @@ def test_init_state_two_readers():
     reg = make(n_readers=2)
     assert len(reg._slots) == 4
     assert reg._current.load() == 2  # I1: index 0, counter N
-    assert reg._proposal == NO_PROPOSAL
     assert all(s.r_start == 0 and s.r_end.load() == 0 for s in reg._slots)
     assert reg._slots[0].size == 4096
 
@@ -164,11 +172,12 @@ def test_write_landing_between_r1_and_r4_is_adopted():
     assert reg._slots[0].r_end.load() == 1
 
 
-def test_release_between_w2_and_w3_posts_no_hint():
+def test_release_between_w2_and_w3_leaves_slot_busy_until_freeze():
     # Interleaving where a reader's R3 on the slot being retired lands after
     # the publish (W2) but before the freeze (W3): the slot's r_start is
-    # still 0, so the release cannot close its count and posts nothing. The
-    # next write's scan finds the slot once W3 has frozen it.
+    # still 0 against an r_end of 1, so it reads as busy. W3 freezes it at
+    # the exchanged-out count, which makes it free, and a later write's
+    # search wraps around to it.
     reg = make(n_readers=1)
     reader = reg.new_reader()  # parked on slot 0, the one being retired
     writer = reg.writer()
@@ -191,11 +200,12 @@ def test_release_between_w2_and_w3_posts_no_hint():
             return old
 
     seen = []
+    released = reg._slots[0]
 
     def read_in_gap():
-        assert reg._slots[0].r_start == 0  # W3 has not frozen the slot yet
+        assert released.r_start == 0  # W3 has not frozen the slot yet
         seen.append(decode_versioned(*reader.read()))
-        seen.append(reg._proposal)
+        seen.append((released.r_start, released.r_end.load()))
 
     word = reg._current
     reg._current = InterposingWord(word, read_in_gap)
@@ -204,13 +214,13 @@ def test_release_between_w2_and_w3_posts_no_hint():
     finally:
         reg._current = word
 
-    assert seen == [(1, True), NO_PROPOSAL]  # read the new value, no hint
-    assert reg._proposal == NO_PROPOSAL
-    released = reg._slots[0]
+    assert seen == [(1, True), (0, 1)]  # read the new value; slot 0 busy
     assert (released.r_start, released.r_end.load()) == (1, 1)  # free after W3
     writer.write(encode_versioned(2, 4096))
-    assert writer.last_slot == 0  # the scan picked the released slot
-    assert decode_versioned(*reader.read()) == (2, True)
+    assert writer.last_slot == 2  # next fit: one past slot 1
+    writer.write(encode_versioned(3, 4096))
+    assert writer.last_slot == 0  # wrapped around to the released slot
+    assert decode_versioned(*reader.read()) == (3, True)
 
 
 def test_reads_are_bounded_to_two_rmw():
@@ -246,8 +256,7 @@ def test_first_write_selects_fresh_slot_and_freezes_init_counter():
     reg = make(n_readers=2)
     writer = reg.writer()
     writer.write(encode_versioned(1, 4096))
-    assert writer.last_slot in (1, 2, 3)
-    assert writer.last_slot == 1  # lowest-index tie-break
+    assert writer.last_slot == 1  # next fit: one past last_slot 0
     # The exchange returned pack(0, N): the init slot froze at N.
     assert reg._slots[0].r_start == 2
     idx, counter = unpack(reg._current.load())
@@ -260,7 +269,9 @@ def test_write_never_reuses_last_slot_even_if_free():
     writer.last_slot = 1
     reg._slots[1].r_start = 5
     reg._slots[1].r_end.store(5)
-    assert writer.find_free_slot() == 0
+    busy(reg, 2, 3)
+    assert writer.find_free_slot() == 0  # probes 2, 3, 0; never 1
+    assert writer.max_scan_len == 3
 
 
 def test_scan_length_never_exceeds_slot_count():
@@ -284,65 +295,94 @@ def test_sequential_seq_progression_visible_to_reader():
         assert got == seq
 
 
-# -- free-slot proposal (hint word) ------------------------------------------
+# -- free-slot search (W1, next fit) -----------------------------------------
 
 
-def test_scan_tie_break_lowest_index():
+def test_scan_starts_one_past_last_slot_and_wraps():
     reg = make(n_readers=2)
     writer = reg.writer()
-    assert reg._proposal == NO_PROPOSAL
     assert writer.find_free_slot() == 1  # slot 0 is last_slot at init
+    writer.last_slot = 2
+    assert writer.find_free_slot() == 3  # slots 0 and 1 are free too
+    writer.last_slot = 3  # the highest index
+    assert writer.find_free_slot() == 0
+    assert writer.max_scan_len == 1
 
 
-def test_valid_proposal_is_used_without_scanning():
+def test_scan_skips_busy_slot():
     reg = make(n_readers=2)
     writer = reg.writer()
-    reg._proposal = 3
-    assert writer.find_free_slot() == 3
-    assert writer.max_scan_len == 0
-    assert reg._proposal == NO_PROPOSAL  # consumed
+    busy(reg, 1)
+    assert writer.find_free_slot() == 2
+    assert writer.max_scan_len == 2
 
 
-def test_proposal_equal_to_last_slot_is_rejected():
+def test_exhausted_search_raises_with_witness():
     reg = make(n_readers=2)
     writer = reg.writer()
-    reg._proposal = 0  # == last_slot right after init
-    assert writer.find_free_slot() == 1  # scan fallback
-    assert reg._proposal == NO_PROPOSAL  # cleared on rejection
+    writer.last_slot = 1  # free, but never a candidate
+    busy(reg, 0, 2, 3)
+    with pytest.raises(InvariantViolation) as excinfo:
+        writer.find_free_slot()
+    message = str(excinfo.value)
+    assert "N=2" in message
+    assert "last_slot=1" in message
+    assert "all 3 other slots busy" in message
 
 
-def test_busy_proposal_is_rejected():
-    reg = make(n_readers=2)
-    writer = reg.writer()
-    reg._slots[3].r_start = 2  # frozen with an outstanding unit
-    reg._slots[3].r_end.store(1)
-    reg._proposal = 3
-    assert writer.find_free_slot() == 1
-
-
-def test_reader_proposes_slot_when_release_empties_it():
+def test_last_release_leaves_slot_free():
     reg = make(n_readers=2)
     r1, r2 = reg.new_reader(), reg.new_reader()
     writer = reg.writer()
     writer.write(encode_versioned(1, 4096))  # freezes slot 0 at r_start=2
+    released = reg._slots[0]
     r1.read()
-    assert reg._proposal == NO_PROPOSAL  # r_end(0)=1 != 2
+    assert (released.r_start, released.r_end.load()) == (2, 1)  # busy
     r2.read()
-    assert reg._proposal == 0  # r_end(0)=2 == frozen r_start
+    assert (released.r_start, released.r_end.load()) == (2, 2)  # free
+    writer.write(encode_versioned(2, 4096))  # slot 2
+    writer.write(encode_versioned(3, 4096))  # slot 3
+    writer.write(encode_versioned(4, 4096))  # wraps to the freed slot 0
+    assert writer.last_slot == 0
+    assert decode_versioned(*r1.read()) == (4, True)
 
 
-def test_two_proposals_last_overwrite_wins():
-    reg = make(n_readers=2)
-    r1, r2 = reg.new_reader(), reg.new_reader()
+def mean_probes_per_write(n_readers, write_every, ops=20_000, seed=9):
+    """Mean W1 probes per write over a seeded single-thread schedule.
+
+    Each op is a write with probability 1/``write_every``, otherwise a read
+    by a uniformly chosen reader. A probe is a load of some slot's
+    ``r_end``: with ``debug`` off, W1 is the only step that loads it.
+    """
+    reg = ArcRegister(encode_versioned(0, 64), n_readers, 64)
+    loads = [0]
+
+    class LoadCountingWord(AtomicU64):
+        def load(self):
+            loads[0] += 1
+            return AtomicU64.load(self)
+
+    for slot in reg._slots:
+        slot.r_end = LoadCountingWord(slot.r_end.load())
+    readers = [reg.new_reader() for _ in range(n_readers)]
     writer = reg.writer()
-    writer.write(encode_versioned(1, 4096))
-    r1.read()
-    r2.read()  # both on the new slot; slot 0 proposed
-    prev = writer.last_slot
-    writer.write(encode_versioned(2, 4096))  # consumes the hint
-    r1.read()
-    r2.read()
-    assert reg._proposal == prev  # the slot both readers just released
+    rng = random.Random(seed)
+    for _ in range(ops):
+        if rng.randrange(write_every) == 0:
+            writer.write(encode_versioned(writer.writes + 1, 64))
+        else:
+            rng.choice(readers).read()
+    assert writer.writes > ops // (2 * write_every)
+    return loads[0] / writer.writes
+
+
+@pytest.mark.parametrize("write_every", [10, 2])
+def test_write_probes_stay_constant_at_n_1024(write_every):
+    # Amortized constant-time writes. The search this replaced (a
+    # reader-posted hint, then a scan from slot 0) averaged 75 probes per
+    # write on this schedule with writes at 1/10, and 243 at 1/2; next fit
+    # averages 1.0 and 2.1.
+    assert mean_probes_per_write(1024, write_every) <= 4
 
 
 # -- counters ---------------------------------------------------------------

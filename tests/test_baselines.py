@@ -19,7 +19,6 @@ from arcreg import (
     encode_versioned,
     run_bench,
 )
-from arcreg.arc import NO_PROPOSAL
 from arcreg.baselines import _WRITER_BIT
 
 ALL_BASELINES = [RfRegister, PetersonRegister, RwlockRegister]
@@ -155,6 +154,14 @@ def _read_value(reader):
     return value
 
 
+def _arc_state(reg, writer):
+    """Everything an ARC write can touch; None for the other registers."""
+    if not isinstance(reg, ArcRegister):
+        return None
+    slots = [(s.r_start, s.r_end.load(), s.size) for s in reg._slots]
+    return writer.last_slot, reg._current.load(), slots
+
+
 @pytest.mark.parametrize("cls", [ArcRegister, RfRegister, RwlockRegister])
 def test_slot_registers_copy_every_source_type(cls):
     reg = make(cls, max_size=256)
@@ -212,10 +219,7 @@ def test_rejected_source_leaves_register_usable(cls):
     writer = reg.writer()
     writer.write(encode_versioned(1, 64))
     assert _read_value(reader) == encode_versioned(1, 64)
-    if cls is ArcRegister:
-        # The reader's release freed the initial slot and posted it.
-        hint = reg._proposal
-        assert hint != NO_PROPOSAL
+    arc_state = _arc_state(reg, writer)
     rejected = [
         list(range(16)),
         array("b", range(16)),
@@ -227,11 +231,10 @@ def test_rejected_source_leaves_register_usable(cls):
         counters, writes = reg.rmw_counters(), writer.writes
         with pytest.raises(TypeError):
             writer.write(data)
-        # Refused before any lock, hint or publication is touched.
+        # Refused before any lock, slot or publication is touched.
         assert reg.rmw_counters() == counters
         assert writer.writes == writes
-        if cls is ArcRegister:
-            assert reg._proposal == hint
+        assert _arc_state(reg, writer) == arc_state
         if cls is RwlockRegister:
             # Checked before reading: a stuck writer bit would hang read().
             assert not reg._word.load() & _WRITER_BIT
@@ -257,18 +260,14 @@ def test_oversized_write_rejected(cls):
     writer.write(encode_versioned(1, 64))  # exactly max_size fits
     assert _read_value(reader) == encode_versioned(1, 64)
     counters, writes = reg.rmw_counters(), writer.writes
-    if cls is ArcRegister:
-        # The reader's release freed the initial slot and posted it.
-        hint = reg._proposal
-        assert hint != NO_PROPOSAL
+    arc_state = _arc_state(reg, writer)
     for size in (0, 65):
         with pytest.raises(ConfigurationError):
             writer.write(b"\x02" * size)
-        # Checked before any lock, hint or publication is touched.
+        # Checked before any lock, slot or publication is touched.
         assert reg.rmw_counters() == counters
         assert writer.writes == writes
-        if cls is ArcRegister:
-            assert reg._proposal == hint
+        assert _arc_state(reg, writer) == arc_state
     assert _read_value(reader) == encode_versioned(1, 64)
 
 
