@@ -77,20 +77,17 @@ class ArcRegister(Register):
         n_readers: N, between 1 and 2**32 - 2.
         max_size: slot capacity in bytes; every slot is pre-allocated at
             this size and writes of any size up to it are accepted.
-        debug: arm the per-write accounting assertions (outstanding-reads
-            bound and freeze bound); adds an O(N) scan per write.
     """
 
     kind = RegisterKind.ARC
 
-    def __init__(self, initial, n_readers: int, max_size: int, *, debug: bool = False) -> None:
+    def __init__(self, initial, n_readers: int, max_size: int) -> None:
         if not 1 <= n_readers <= ARC_MAX_READERS:
             raise CapacityError(
                 f"reader count must be in [1, 2**32 - 2], got {n_readers}"
             )
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
-        self._debug = debug
         # I1 state: N+2 slots, all counters zero, slot 0 holds the initial
         # value, and current = pack(0, N) -- as if every reader already
         # started reading slot 0.
@@ -104,18 +101,6 @@ class ArcRegister(Register):
 
     def _make_writer(self) -> "ArcWriter":
         return ArcWriter(self)
-
-    def _check_outstanding_reads_bound(self) -> None:
-        # Single-writer snapshot: r_start values are the writer's own frozen
-        # stores and r_end only grows, so the sum is a conservative upper
-        # bound on outstanding presence units; it can never exceed N.
-        total = 0
-        for slot in self._slots:
-            total += slot.r_start - slot.r_end.load()
-        if total > self.n_readers:
-            raise InvariantViolation(
-                f"outstanding-reads accounting {total} exceeds N={self.n_readers}"
-            )
 
 
 class ArcReader:
@@ -149,17 +134,9 @@ class ArcReader:
         reg._slots[last].r_end.add_and_fetch(1)  # R3: release
         tmp = reg._current.add_and_fetch(1)  # R4: bind to the newest slot
         self.rmw_ops += 2
-        if reg._debug and (tmp & COUNTER_MASK) > reg.n_readers:
-            raise InvariantViolation(
-                f"presence counter {tmp & COUNTER_MASK} exceeds N={reg.n_readers}"
-            )
         self.last_index = tmp >> INDEX_SHIFT  # R5
         slot = reg._slots[self.last_index]
         return slot.content, slot.size
-
-    @property
-    def max_read_rmw(self) -> int:
-        return 2 if self.rmw_ops else 0  # every transition read is R3 + R4
 
     def finish(self) -> None:
         """No-op; a parked presence unit is harmless (see module caveat)."""
@@ -168,14 +145,13 @@ class ArcReader:
 class ArcWriter:
     """The single writer: selects a free slot, copies, publishes, freezes."""
 
-    __slots__ = ("_reg", "last_slot", "writes", "rmw_ops", "max_scan_len")
+    __slots__ = ("_reg", "last_slot", "writes", "rmw_ops")
 
     def __init__(self, reg: ArcRegister) -> None:
         self._reg = reg
         self.last_slot = 0  # matches init: slot 0 holds the initial value
         self.writes = 0
         self.rmw_ops = 0
-        self.max_scan_len = 0
 
     def write(self, data) -> None:
         """Publish ``data`` as the new register value.
@@ -186,8 +162,6 @@ class ArcWriter:
         """
         reg = self._reg
         size = reg._fit(data)  # before any side effect
-        if reg._debug:
-            reg._check_outstanding_reads_bound()
         slot_idx = self.find_free_slot()  # W1
         slot = reg._slots[slot_idx]
         # One memcpy through a memoryview target: the chosen slot is
@@ -205,10 +179,6 @@ class ArcWriter:
         if freed > reg.n_readers:
             raise InvariantViolation(
                 f"frozen presence count {freed} exceeds N={reg.n_readers}"
-            )
-        if reg._debug and old_slot != self.last_slot:
-            raise InvariantViolation(
-                f"retired index {old_slot} drifted from writer state {self.last_slot}"
             )
         reg._slots[old_slot].r_start = freed  # W3: freeze retired slot
         self.last_slot = slot_idx
@@ -230,8 +200,6 @@ class ArcWriter:
             idx = (last + probes) % n_slots
             slot = slots[idx]
             if slot.r_start == slot.r_end.load():
-                if probes > self.max_scan_len:
-                    self.max_scan_len = probes
                 return idx
         raise InvariantViolation(
             f"no free slot: N={self._reg.n_readers}, last_slot={last}, and all "

@@ -101,16 +101,12 @@ class RfReader:
     def rmw_ops(self) -> int:
         return self.reads  # one fetch-or per read
 
-    @property
-    def max_read_rmw(self) -> int:
-        return 1 if self.reads else 0
-
     def finish(self) -> None:
         """No-op; the writer's trace keeps the last buffer read out of reach."""
 
 
 class RfWriter:
-    __slots__ = ("_reg", "_current", "_trace", "writes", "rmw_ops", "max_scan_len")
+    __slots__ = ("_reg", "_current", "_trace", "writes", "rmw_ops")
 
     def __init__(self, reg: RfRegister) -> None:
         self._reg = reg
@@ -120,7 +116,6 @@ class RfWriter:
         self._trace = [0] * reg.n_readers
         self.writes = 0
         self.rmw_ops = 0
-        self.max_scan_len = 0
 
     def write(self, data) -> None:
         """Copy ``data`` into an untraced buffer and publish it (one RMW)."""
@@ -137,8 +132,6 @@ class RfWriter:
                 "no free buffer among N+2: trace accounting falsified "
                 "(implementation bug)"
             )
-        if target >= self.max_scan_len:
-            self.max_scan_len = target + 1
         buf = reg._buffers[target]
         reg._copy_in(buf.content, data)
         buf.size = size
@@ -210,14 +203,13 @@ class PetersonRegister(Register):
 
 
 class PetersonReader:
-    __slots__ = ("_reg", "reader_id", "reads", "rmw_ops", "max_read_rmw")
+    __slots__ = ("_reg", "reader_id", "reads", "rmw_ops")
 
     def __init__(self, reg: PetersonRegister, reader_id: int) -> None:
         self._reg = reg
         self.reader_id = reader_id
         self.reads = 0
         self.rmw_ops = 0  # stays zero: plain-store protocol
-        self.max_read_rmw = 0
 
     def read(self):
         reg = self._reg
@@ -304,7 +296,7 @@ def _spin(step: int) -> None:
 
 
 class RwlockReader:
-    __slots__ = ("_reg", "reader_id", "_holding", "reads", "rmw_ops", "max_read_rmw")
+    __slots__ = ("_reg", "reader_id", "_holding", "reads", "rmw_ops")
 
     def __init__(self, reg: RwlockRegister, reader_id: int) -> None:
         self._reg = reg
@@ -312,7 +304,6 @@ class RwlockReader:
         self._holding = False
         self.reads = 0
         self.rmw_ops = 0
-        self.max_read_rmw = 0
 
     def read(self):
         reg = self._reg
@@ -339,8 +330,6 @@ class RwlockReader:
             break
         self._holding = True
         self.rmw_ops += rmw
-        if rmw > self.max_read_rmw:
-            self.max_read_rmw = rmw
         return reg._content, reg._size
 
     def finish(self) -> None:

@@ -55,13 +55,10 @@ class BenchConfig:
     mode: str = "hold"
     verify: bool = False
     seed: int = 0
-    csv_path: str | None = None
     pin: bool = False
-    repeat: int = 1
     min_ops: int = 0
     writer_enabled: bool = True
     switch_interval: float | None = None
-    debug_checks: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.algo, str):
@@ -74,8 +71,6 @@ class BenchConfig:
             raise ConfigurationError(f"mode must be 'hold' or 'work', got {self.mode!r}")
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
-        if self.repeat < 1:
-            raise ConfigurationError("repeat must be at least 1")
         if self.algo is RegisterKind.RF and self.readers > RF_MAX_READERS:
             raise CapacityError(
                 f"RF admits at most {RF_MAX_READERS} readers, got {self.readers}"
@@ -84,7 +79,7 @@ class BenchConfig:
 
 @dataclass
 class BenchResult:
-    """Aggregated outcome of one configuration (averaged over repeats)."""
+    """Outcome of one run of one configuration."""
 
     algo: RegisterKind
     mode: str
@@ -100,9 +95,6 @@ class BenchResult:
     no_past: int = 0
     inversions: int = 0
     torn_reads: int = 0
-    max_read_rmw: int = 0
-    max_scan_len: int = 0
-    runs: int = 1
 
     @property
     def total_ops(self) -> int:
@@ -128,10 +120,7 @@ _REGISTER_TYPES = {
 def make_register(cfg: BenchConfig):
     """Build the register under test with a version-0 initial value."""
     initial = encode_versioned(0, cfg.size)
-    cls = _REGISTER_TYPES[cfg.algo]
-    if cfg.algo is RegisterKind.ARC:
-        return cls(initial, cfg.readers, cfg.size, debug=cfg.debug_checks)
-    return cls(initial, cfg.readers, cfg.size)
+    return _REGISTER_TYPES[cfg.algo](initial, cfg.readers, cfg.size)
 
 
 class _RunControl:
@@ -220,7 +209,8 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
         ctl.stop = True
 
 
-def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
+def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
+    """Run the workload once and return its sample."""
     register = register_factory(cfg)
     n_threads = cfg.readers + 1
     ctl = _RunControl()
@@ -289,8 +279,6 @@ def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
         no_past = len(report.no_past)
         inversions = len(report.inversions)
         torn = report.torn_reads
-    max_read_rmw = max(h.max_read_rmw for h in reader_handles)
-    max_scan_len = getattr(writer_handle, "max_scan_len", 0)
     return BenchResult(
         algo=cfg.algo,
         mode=cfg.mode,
@@ -306,35 +294,6 @@ def _run_once(cfg: BenchConfig, register_factory) -> BenchResult:
         no_past=no_past,
         inversions=inversions,
         torn_reads=torn,
-        max_read_rmw=max_read_rmw,
-        max_scan_len=max_scan_len,
-    )
-
-
-def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
-    """Run ``cfg.repeat`` workload runs and return the averaged sample."""
-    results = [_run_once(cfg, register_factory) for _ in range(cfg.repeat)]
-    if len(results) == 1:
-        return results[0]
-    k = len(results)
-    return BenchResult(
-        algo=cfg.algo,
-        mode=cfg.mode,
-        readers=cfg.readers,
-        size=cfg.size,
-        duration_s=sum(r.duration_s for r in results) / k,
-        reads=round(sum(r.reads for r in results) / k),
-        writes=round(sum(r.writes for r in results) / k),
-        read_rmw=round(sum(r.read_rmw for r in results) / k),
-        write_rmw=round(sum(r.write_rmw for r in results) / k),
-        throughput_ops_s=sum(r.throughput_ops_s for r in results) / k,
-        violations=sum(r.violations for r in results),
-        no_past=sum(r.no_past for r in results),
-        inversions=sum(r.inversions for r in results),
-        torn_reads=sum(r.torn_reads for r in results),
-        max_read_rmw=max(r.max_read_rmw for r in results),
-        max_scan_len=max(r.max_scan_len for r in results),
-        runs=k,
     )
 
 
@@ -394,14 +353,14 @@ _MATRIX_TYPES = {
     "verify": ("a boolean", lambda v: isinstance(v, bool)),
     "seed": ("an integer", _is_int),
     "pin": ("a boolean", lambda v: isinstance(v, bool)),
-    "repeat": ("an integer", _is_int),
+    "repeat": ("a positive integer", lambda v: _is_int(v) and v > 0),
     "min_ops": ("an integer", _is_int),
 }
 
 
 def run_matrix(spec: MatrixSpec, register_factory=make_register) -> list[BenchResult]:
-    """Run the sweep; combinations beyond an algorithm's capacity are skipped
-    with a note."""
+    """Run the sweep, ``spec.repeat`` runs and rows per case; combinations
+    beyond an algorithm's capacity are skipped with a note."""
     results = []
     for algo in spec.algos:
         for readers in spec.readers:
@@ -423,10 +382,9 @@ def run_matrix(spec: MatrixSpec, register_factory=make_register) -> list[BenchRe
                     verify=spec.verify,
                     seed=spec.seed,
                     pin=spec.pin,
-                    repeat=spec.repeat,
                     min_ops=spec.min_ops,
                 )
-                results.append(run_bench(cfg, register_factory))
+                results.extend(run_bench(cfg, register_factory) for _ in range(spec.repeat))
     return results
 
 

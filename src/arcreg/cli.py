@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="workload content seed")
     p.add_argument("--csv", metavar="PATH", default=None, help="write results as CSV")
     p.add_argument("--pin", action="store_true", help="pin threads round-robin to CPUs")
-    p.add_argument("--repeat", type=int, default=1, help="runs to average per sample")
+    p.add_argument("--repeat", type=int, default=1, help="runs per configuration, one row each")
     p.add_argument("--matrix", metavar="FILE", default=None, help="JSON sweep description")
     p.add_argument("--min-ops", type=int, default=0, help="operation floor per run")
     p.add_argument(
@@ -67,11 +67,12 @@ def main(argv=None) -> int:
                 verify=args.verify,
                 seed=args.seed,
                 pin=args.pin,
-                repeat=args.repeat,
                 min_ops=args.min_ops,
                 writer_enabled=not args.no_writer,
             )
-            results = [run_bench(cfg)]
+            if args.repeat < 1:
+                raise ConfigurationError("repeat must be at least 1")
+            results = [run_bench(cfg) for _ in range(args.repeat)]
     except (ConfigurationError, CapacityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines. The stress matrix (readers x sizes, >= 2e6 verified operations per
-configuration) runs once as a session fixture and feeds criteria 1, 3,
-and 4.
+configuration) runs once, with ARC's accounting checks armed, as a session
+fixture and feeds criteria 1 and 4. Criterion 3 measures RMWs and W1 probes
+at the words over a seeded single-thread schedule.
 """
 
 import os
@@ -25,7 +26,14 @@ from arcreg import (
     encode_versioned,
     run_bench,
 )
-from support import BrokenArcRegister, linearizable_by_search, random_small_history
+from support import (
+    BrokenArcRegister,
+    CheckedArcRegister,
+    instrument,
+    linearizable_by_search,
+    random_small_history,
+    run_schedule,
+)
 
 STRESS_READERS = (2, 8, 16, 31)
 STRESS_SIZES = (4096, 32768, 131072)
@@ -37,9 +45,20 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {n} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def _checked_run(cfg):
+    """Run ``cfg`` on a CheckedArcRegister; return the result and its check count."""
+    made = []
+
+    def factory(cfg):
+        made.append(CheckedArcRegister(encode_versioned(0, cfg.size), cfg.readers, cfg.size))
+        return made[0]
+
+    return run_bench(cfg, register_factory=factory), made[0].checks
+
+
 @pytest.fixture(scope="session")
 def stress_matrix():
-    """12 verified work-mode runs of the primary register, >=2e6 ops each."""
+    """12 verified work-mode runs of the checked primary register, >=2e6 ops each."""
     outcomes = []
     for readers in STRESS_READERS:
         for size in STRESS_SIZES:
@@ -53,17 +72,16 @@ def stress_matrix():
                 seed=readers * 1000 + size,
                 min_ops=MIN_OPS,
                 switch_interval=0.001,
-                debug_checks=True,
             )
             t0 = time.monotonic()
-            result = run_bench(cfg)
-            outcomes.append((cfg, result, time.monotonic() - t0))
+            result, checks = _checked_run(cfg)
+            outcomes.append((cfg, result, time.monotonic() - t0, checks))
     return outcomes
 
 
 def test_criterion_1_atomicity_suite(stress_matrix):
     ok = True
-    for cfg, result, wall in stress_matrix:
+    for cfg, result, wall, _ in stress_matrix:
         line_ok = (
             result.total_ops >= MIN_OPS
             and result.no_past == 0
@@ -102,27 +120,69 @@ def test_criterion_2_checker_oracle_agreement():
     assert min(verdicts.values()) >= 20  # both verdict classes exercised
 
 
-def test_criterion_3_wait_freedom_bounds(stress_matrix):
+SWEEP_READERS = (2, 8, 16, 31, 128, 1024)
+SWEEP_WRITE_EVERY = (10, 2)
+
+
+def _rmw_by_kind(costs):
+    reads = [c.rmw for c in costs if c.kind == "read"]
+    writes = [c.rmw for c in costs if c.kind == "write"]
+    return reads, writes
+
+
+def test_criterion_3_wait_freedom_bounds():
+    # One thread drives each register, so the change in the word counts
+    # across an operation is exactly that operation's RMW and probe count.
     ok = True
-    for cfg, result, _ in stress_matrix:
-        # Scan exhaustion raises inside the run, so completion plus the
-        # recorded maxima witness the bounds.
-        line_ok = result.max_read_rmw <= 2 and result.max_scan_len <= cfg.readers + 2
-        ok = ok and line_ok
-        print(
-            f"  [{'ok' if line_ok else 'FAIL'}] readers={cfg.readers:<3} "
-            f"size={cfg.size:<6} max_read_rmw={result.max_read_rmw} "
-            f"max_scan_len={result.max_scan_len} (cap {cfg.readers + 2})"
+    for n in SWEEP_READERS:
+        figures = []
+        for write_every in SWEEP_WRITE_EVERY:
+            reg = ArcRegister(encode_versioned(0, 64), n, 64)
+            costs = run_schedule(reg, instrument(reg), write_every=write_every)
+            reads, writes = _rmw_by_kind(costs)
+            probes = [c.probes for c in costs if c.kind == "write"]
+            ok_here = (
+                max(reads) <= 2
+                and not any(c.rmw for c in costs if c.kind == "read" and not c.moved)
+                and set(writes) == {1}
+                and max(probes) <= n + 1
+                and reg.rmw_counters() == (sum(reads), sum(writes))
+            )
+            ok = ok and ok_here
+            figures.append(
+                f"1/{write_every}: read RMW max {max(reads)}, write RMW {sorted(set(writes))}, "
+                f"probes max {max(probes)} mean {sum(probes) / len(probes):.2f}"
+                + ("" if ok_here else " FAIL")
+            )
+        print(f"  ARC N={n:<5} (probe cap {n + 1}) " + "; ".join(figures))
+    for n in STRESS_READERS:
+        reg = RfRegister(encode_versioned(0, 64), n, 64)
+        reads, writes = _rmw_by_kind(run_schedule(reg, instrument(reg), write_every=2))
+        ok_here = (
+            set(reads) == set(writes) == {1}
+            and reg.rmw_counters() == (sum(reads), sum(writes))
         )
-    _verdict(3, ok, "reads <= 2 RMW, scans <= N+2, free-slot search never exhausted")
+        ok = ok and ok_here
+        print(f"  RF  N={n:<5} RMW per read {sorted(set(reads))}, per write {sorted(set(writes))}"
+              + ("" if ok_here else " FAIL"))
+    _verdict(
+        3, ok,
+        "measured at the words: ARC reads <= 2 RMW (0 when the value is unchanged), "
+        "writes 1 RMW and <= N+1 probes; RF 1 and 1; totals match rmw_counters()",
+    )
     assert ok
 
 
 def test_criterion_4_accounting_bounds(stress_matrix):
-    # The matrix ran with debug accounting armed: the outstanding-reads sum
-    # and the frozen-count bound raise on violation, aborting the run.
-    ok = all(cfg.debug_checks for cfg, _, _ in stress_matrix)
-    _verdict(4, ok, "debug accounting assertions armed and silent across the matrix")
+    # Each run used CheckedArcRegister: the outstanding-reads sum before each
+    # write, the presence counter after each R4 and the retired index at
+    # each W2 raise on violation, aborting the run.
+    ok = True
+    for cfg, _, _, checks in stress_matrix:
+        ok = ok and checks > 0
+        print(f"  [{'ok' if checks > 0 else 'FAIL'}] readers={cfg.readers:<3} "
+              f"size={cfg.size:<6} checks={checks}")
+    _verdict(4, ok, "accounting checks ran and stayed silent across the matrix")
     assert ok
 
 
@@ -169,10 +229,9 @@ def test_criterion_6_capacity():
         seed=6,
         min_ops=MIN_OPS,
         switch_interval=0.001,
-        debug_checks=True,
     )
-    result = run_bench(cfg)
-    arc_ok = result.total_ops >= MIN_OPS and result.violations == 0
+    result, checks = _checked_run(cfg)
+    arc_ok = result.total_ops >= MIN_OPS and result.violations == 0 and checks > 0
     try:
         RfRegister(b"\x00" * 8, 59, 64)
         rf_ok = False
@@ -181,8 +240,8 @@ def test_criterion_6_capacity():
     _verdict(
         6,
         arc_ok and rf_ok,
-        f"128-reader suite: {result.total_ops} ops, "
-        f"{result.violations} violations; RF at 59 readers raises",
+        f"128-reader suite: {result.total_ops} ops, {result.violations} violations, "
+        f"{checks} accounting checks; RF at 59 readers raises",
     )
     assert arc_ok
     assert rf_ok

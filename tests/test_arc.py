@@ -4,8 +4,6 @@ The expected values in these tests were derived by executing the read and
 write step sequences (R1..R5, W1..W3, I1) by hand from the initial state.
 """
 
-import random
-
 import pytest
 
 from arcreg import (
@@ -17,13 +15,11 @@ from arcreg import (
     pack,
     unpack,
 )
-from arcreg.atomics import AtomicU64
+from support import CheckedArcRegister, instrument, run_schedule
 
 
-def make(n_readers=2, max_size=4096, initial_seq=0, debug=False):
-    return ArcRegister(
-        encode_versioned(initial_seq, max_size), n_readers, max_size, debug=debug
-    )
+def make(n_readers=2, max_size=4096, initial_seq=0):
+    return ArcRegister(encode_versioned(initial_seq, max_size), n_readers, max_size)
 
 
 def busy(reg, *indices):
@@ -225,13 +221,15 @@ def test_release_between_w2_and_w3_leaves_slot_busy_until_freeze():
 
 def test_reads_are_bounded_to_two_rmw():
     reg = make(n_readers=2)
+    meter = instrument(reg)
     reader = reg.new_reader()
     writer = reg.writer()
     for seq in range(1, 20):
         writer.write(encode_versioned(seq, 4096))
-        reader.read()
-        reader.read()
-    assert reader.max_read_rmw <= 2
+        for expected in (2, 0):  # a slot transition, then the cached path
+            before = meter.rmw
+            reader.read()
+            assert meter.rmw - before == expected
 
 
 def test_bound_view_stays_stable_while_writer_advances():
@@ -265,23 +263,26 @@ def test_first_write_selects_fresh_slot_and_freezes_init_counter():
 
 def test_write_never_reuses_last_slot_even_if_free():
     reg = make(n_readers=2)
+    meter = instrument(reg)
     writer = reg.writer()
     writer.last_slot = 1
     reg._slots[1].r_start = 5
     reg._slots[1].r_end.store(5)
     busy(reg, 2, 3)
     assert writer.find_free_slot() == 0  # probes 2, 3, 0; never 1
-    assert writer.max_scan_len == 3
+    assert meter.r_end.loads == 3
 
 
 def test_scan_length_never_exceeds_slot_count():
     reg = make(n_readers=2)
+    meter = instrument(reg)
     reader = reg.new_reader()
     writer = reg.writer()
     for seq in range(1, 50):
+        before = meter.r_end.loads
         writer.write(encode_versioned(seq, 4096))
+        assert 1 <= meter.r_end.loads - before <= 2 + 1  # the N+1 other slots
         reader.read()
-    assert writer.max_scan_len <= 2 + 2
 
 
 def test_sequential_seq_progression_visible_to_reader():
@@ -300,21 +301,23 @@ def test_sequential_seq_progression_visible_to_reader():
 
 def test_scan_starts_one_past_last_slot_and_wraps():
     reg = make(n_readers=2)
+    meter = instrument(reg)
     writer = reg.writer()
     assert writer.find_free_slot() == 1  # slot 0 is last_slot at init
     writer.last_slot = 2
     assert writer.find_free_slot() == 3  # slots 0 and 1 are free too
     writer.last_slot = 3  # the highest index
     assert writer.find_free_slot() == 0
-    assert writer.max_scan_len == 1
+    assert meter.r_end.loads == 3  # one probe per search
 
 
 def test_scan_skips_busy_slot():
     reg = make(n_readers=2)
+    meter = instrument(reg)
     writer = reg.writer()
     busy(reg, 1)
     assert writer.find_free_slot() == 2
-    assert writer.max_scan_len == 2
+    assert meter.r_end.loads == 2
 
 
 def test_exhausted_search_raises_with_witness():
@@ -347,33 +350,17 @@ def test_last_release_leaves_slot_free():
     assert decode_versioned(*r1.read()) == (4, True)
 
 
-def mean_probes_per_write(n_readers, write_every, ops=20_000, seed=9):
-    """Mean W1 probes per write over a seeded single-thread schedule.
+def mean_probes_per_write(n_readers, write_every):
+    """Mean W1 probes per write over ``run_schedule``'s seeded schedule.
 
-    Each op is a write with probability 1/``write_every``, otherwise a read
-    by a uniformly chosen reader. A probe is a load of some slot's
-    ``r_end``: with ``debug`` off, W1 is the only step that loads it.
+    A probe is a load of some slot's ``r_end``; W1 is the only step that
+    loads one.
     """
     reg = ArcRegister(encode_versioned(0, 64), n_readers, 64)
-    loads = [0]
-
-    class LoadCountingWord(AtomicU64):
-        def load(self):
-            loads[0] += 1
-            return AtomicU64.load(self)
-
-    for slot in reg._slots:
-        slot.r_end = LoadCountingWord(slot.r_end.load())
-    readers = [reg.new_reader() for _ in range(n_readers)]
-    writer = reg.writer()
-    rng = random.Random(seed)
-    for _ in range(ops):
-        if rng.randrange(write_every) == 0:
-            writer.write(encode_versioned(writer.writes + 1, 64))
-        else:
-            rng.choice(readers).read()
-    assert writer.writes > ops // (2 * write_every)
-    return loads[0] / writer.writes
+    costs = run_schedule(reg, instrument(reg), write_every=write_every)
+    writes = [c.probes for c in costs if c.kind == "write"]
+    assert len(writes) > len(costs) // (2 * write_every)
+    return sum(writes) / len(writes)
 
 
 @pytest.mark.parametrize("write_every", [10, 2])
@@ -404,3 +391,38 @@ def test_content_buffer_accounting_is_exactly_n_plus_2():
     for n in (1, 2, 31):
         reg = make(n_readers=n, max_size=64)
         assert reg.content_buffer_count == n + 2
+
+
+# -- accounting checks of the stress matrix (tests/support.py) ---------------
+
+
+def checked(n_readers=2):
+    return CheckedArcRegister(encode_versioned(0, 64), n_readers, 64)
+
+
+def test_checked_write_catches_corrupted_r_start():
+    reg = checked()
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 64))
+    assert reg.checks == 2  # the outstanding-reads sum, then the W2 index
+    reg._slots[3].r_start = 9  # r_end is 0: nine units that no reader holds
+    with pytest.raises(InvariantViolation, match="outstanding-reads accounting 11 exceeds N=2"):
+        writer.write(encode_versioned(2, 64))
+
+
+def test_checked_bind_catches_counter_past_n():
+    reg = checked()
+    reader = reg.new_reader()
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 64))
+    reg._current.store(pack(writer.last_slot, 2))  # as if N units were bound
+    with pytest.raises(InvariantViolation, match="presence counter 3 exceeds N=2"):
+        reader.read()  # R4 adds the third unit
+
+
+def test_checked_publish_catches_drifted_last_slot():
+    reg = checked()
+    writer = reg.writer()
+    writer.last_slot = 2  # slot 0 is current
+    with pytest.raises(InvariantViolation, match="retired index 0 drifted from writer state 2"):
+        writer.write(encode_versioned(1, 64))

@@ -6,6 +6,7 @@ import logging
 import pytest
 
 from arcreg import (
+    ArcRegister,
     BenchConfig,
     CSV_HEADER,
     CapacityError,
@@ -13,10 +14,12 @@ from arcreg import (
     MatrixSpec,
     RegisterKind,
     emit_csv,
+    encode_versioned,
     run_bench,
     run_matrix,
 )
 from arcreg.cli import main as cli_main
+from support import instrument, run_schedule
 
 
 def test_smoke_hold_run_with_verification():
@@ -147,26 +150,26 @@ def test_matrix_spec_from_json(tmp_path):
     assert len(results) == 4
 
 
-def test_same_seed_single_reader_hold_counts_are_close():
-    # Determinism probe: identical single-reader hold samples must agree.
-    # Measured on this virtualized host class: single runs wobble up to
-    # ~20% from CPU steal, median-of-3 samples up to ~6% under suite load;
-    # the bound below is that measurement plus margin. Real workload
-    # nondeterminism (e.g. seed-dependent behavior) shows far larger gaps.
-    import statistics
+def test_same_seed_schedule_replays_exactly():
+    # One thread and one seed make the register deterministic: every op
+    # count, word-counted RMW and probe, and the final state must repeat.
+    def replay():
+        reg = ArcRegister(encode_versioned(0, 64), 4, 64)
+        meter = instrument(reg)
+        costs = run_schedule(reg, meter, ops=5_000, write_every=3, seed=11)
+        counts = (
+            [h.reads for h in reg._readers], reg._writer.writes, reg.rmw_counters(),
+            meter.sync.rmw, meter.sync.loads, meter.r_end.rmw, meter.r_end.loads,
+        )
+        state = (
+            reg._current.load(),
+            [(s.r_start, s.r_end.load(), s.size, bytes(s.content)) for s in reg._slots],
+        )
+        return costs, counts, state
 
-    cfg = BenchConfig(
-        algo=RegisterKind.ARC, readers=1, size=4096, duration=1.0,
-        mode="hold", seed=11,
-    )
-    run_bench(cfg)  # warm-up discarded
-
-    def sample():
-        return statistics.median(run_bench(cfg).total_ops for _ in range(3))
-
-    a, b = sample(), sample()
-    ratio = max(a, b) / min(a, b)
-    assert ratio <= 1.10, f"run-to-run drift {ratio:.3f} beyond measured bound"
+    costs, counts, state = replay()
+    assert counts[1] > 1000  # the schedule wrote
+    assert replay() == (costs, counts, state)
 
 
 def test_cli_single_run_writes_csv(tmp_path, capsys):
@@ -192,6 +195,7 @@ def test_cli_verified_run_exit_code(tmp_path):
 def test_cli_rejects_bad_config(tmp_path):
     rc = cli_main(["--algo", "rf", "--readers", "99", "--duration", "0.1"])
     assert rc == 2
+    assert cli_main(["--algo", "arc", "--duration", "0.1", "--repeat", "0"]) == 2
     # A malformed matrix file is a bad configuration too, not a failed run.
     malformed = [
         {"algos": ["arc"], "readers": [1], "sizes": [64], "threads": 4},  # unknown key
@@ -205,6 +209,7 @@ def test_cli_rejects_bad_config(tmp_path):
         {"algos": ["arc"], "readers": [1], "sizes": [64], "verify": 1},
         {"algos": ["arc"], "readers": [], "sizes": [64]},  # an empty axis
         {"algos": [], "readers": [1], "sizes": [64]},
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "repeat": 0},
     ]
     path = tmp_path / "sweep.json"
     out = tmp_path / "out.csv"
@@ -230,3 +235,20 @@ def test_cli_matrix_mode(tmp_path):
     rc = cli_main(["--matrix", str(sweep), "--csv", str(out)])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_repeat_gives_one_row_per_run(capsys):
+    rc = cli_main([
+        "--algo", "arc", "--readers", "1", "--size", "64", "--duration", "0.1",
+        "--repeat", "2",
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 3
+    spec = MatrixSpec(
+        algos=[RegisterKind.ARC, RegisterKind.RF], readers=[1], sizes=[64],
+        duration=0.1, repeat=2,
+    )
+    results = run_matrix(spec)
+    assert [r.algo for r in results] == [RegisterKind.ARC] * 2 + [RegisterKind.RF] * 2
