@@ -188,12 +188,22 @@ class PetersonRegister(Register):
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
-        self._allocated_buffers = n_readers + 1  # writer cell + report cells
         content = bytearray(size)  # one fresh buffer per value, not a slot
         self._copy_in(content, initial)
         snap0 = (0, size, content)
         self._wcell = _Cell(snap0)
         self._rcells = [_Cell(snap0) for _ in range(n_readers)]
+
+    @property
+    def content_buffer_count(self) -> int:
+        """Number of content buffers this register allocated (exact).
+
+        One for the initial value, a ``bytearray`` per write and a ``bytes``
+        copy per read: derived from the handles' operation counts, which
+        count exactly the calls that reached their allocation.
+        """
+        writes = self._writer.writes if self._writer is not None else 0
+        return 1 + writes + sum(r.reads for r in self._readers)
 
     def _make_reader(self, reader_id: int) -> "PetersonReader":
         return PetersonReader(self, reader_id)

@@ -46,6 +46,8 @@ class BenchConfig:
     floor is met. ``writer_enabled=False`` pauses the writer (debug flag
     for read-path experiments). ``switch_interval`` temporarily overrides
     the interpreter's thread switch interval to force finer interleaving.
+    ``history_out`` names a file that a verified run saves its merged
+    history to, before checking it, for ``History.load``.
     """
 
     algo: RegisterKind
@@ -59,6 +61,7 @@ class BenchConfig:
     min_ops: int = 0
     writer_enabled: bool = True
     switch_interval: float | None = None
+    history_out: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.algo, str):
@@ -71,6 +74,8 @@ class BenchConfig:
             raise ConfigurationError(f"mode must be 'hold' or 'work', got {self.mode!r}")
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
+        if self.history_out is not None and not self.verify:
+            raise ConfigurationError("saving the history needs verify: nothing is recorded")
         if self.algo is RegisterKind.RF and self.readers > RF_MAX_READERS:
             raise CapacityError(
                 f"RF admits at most {RF_MAX_READERS} readers, got {self.readers}"
@@ -275,6 +280,8 @@ def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
     no_past = inversions = torn = 0
     if cfg.verify:
         history = History.from_recorders([r for r in recorders if r is not None])
+        if cfg.history_out is not None:
+            history.save(cfg.history_out)
         report = check_history(history)
         no_past = len(report.no_past)
         inversions = len(report.inversions)

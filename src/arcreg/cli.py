@@ -5,6 +5,11 @@ Single run:
     arcreg-bench --algo arc --readers 16 --size 131072 --duration 2 \
         --mode hold --verify --csv out.csv
 
+Save the checked history of a single verified run for offline re-checks
+with ``History.load`` and ``check_history``:
+
+    arcreg-bench --algo arc --readers 2 --verify --history-out run.txt
+
 Sweep from a JSON matrix file (overrides the single-run flags):
 
     arcreg-bench --matrix sweep.json --csv out.csv
@@ -36,6 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="record and check the history")
     p.add_argument("--seed", type=int, default=0, help="workload content seed")
     p.add_argument("--csv", metavar="PATH", default=None, help="write results as CSV")
+    p.add_argument(
+        "--history-out",
+        metavar="PATH",
+        default=None,
+        help="with --verify, save the run's merged history (one run only)",
+    )
     p.add_argument("--pin", action="store_true", help="pin threads round-robin to CPUs")
     p.add_argument("--repeat", type=int, default=1, help="runs per configuration, one row each")
     p.add_argument("--matrix", metavar="FILE", default=None, help="JSON sweep description")
@@ -52,6 +63,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     try:
+        if args.history_out is not None and (args.matrix or args.repeat > 1):
+            raise ConfigurationError("--history-out saves one run: drop --matrix and --repeat")
         if args.matrix:
             spec = MatrixSpec.from_json(args.matrix)
             results = run_matrix(spec)
@@ -69,6 +82,7 @@ def main(argv=None) -> int:
                 pin=args.pin,
                 min_ops=args.min_ops,
                 writer_enabled=not args.no_writer,
+                history_out=args.history_out,
             )
             if args.repeat < 1:
                 raise ConfigurationError("repeat must be at least 1")

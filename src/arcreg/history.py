@@ -22,6 +22,25 @@ The checks implement the two register correctness conditions:
 Recording is per-thread and contention-free: each operation is one packed
 40-byte row of five native int64 fields, appended whole to a flat
 ``array('q')``. Merging and checking happen single-threaded after the run.
+
+Checking costs a few linear passes over the rows and no sort of a history
+merged from recorders:
+
+* validation: writes, which one writer records in invocation order, are
+  sorted only when they arrive otherwise. Threads are checked for
+  overlapping records by comparing neighbouring rows, once every thread is
+  seen to form one contiguous run, as ``History.from_recorders`` yields
+  them; any other row order (a shuffled or time-sorted file) takes one
+  ``lexsort`` by (thread, invocation) first.
+* each read is mapped once to the position of the write it returned, which
+  is also the check that some write produced its seq: the seq is the
+  position when the writes carry seqs 1, 2, ..., W, and one binary search
+  among the writes finds it otherwise.
+* regularity: two gathers per read; the witness search runs only for the
+  violating reads.
+* atomicity: a scatter-min of each read's response onto its value, then one
+  gather per read. The stable sort of the reads by response that names the
+  witnesses runs only when some read is inverted.
 """
 
 from __future__ import annotations
@@ -138,18 +157,20 @@ class History:
 
     @classmethod
     def from_recorders(cls, recorders: Iterable[Recorder]) -> "History":
-        parts = []
-        threads = []
-        for rec in recorders:
-            rows = np.frombuffer(rec._rows, dtype=np.int64).reshape(-1, 5)
-            parts.append(rows)
-            threads.append(np.full(len(rows), rec.thread_id, dtype=np.int64))
-        if not parts:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(empty, empty, empty, empty, empty, empty)
-        rows = np.concatenate(parts)
-        thread = np.concatenate(threads)
-        return cls(thread, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4])
+        recorders = list(recorders)
+        sizes = [len(rec) for rec in recorders]
+        # Each column gets its own contiguous array: the checks pass over
+        # the columns several times, and a column strided through the
+        # packed rows costs more per pass than the one copy that unpacks it.
+        columns = np.empty((5, sum(sizes)), dtype=np.int64)
+        if recorders:
+            np.concatenate(
+                [np.frombuffer(rec._rows, dtype=np.int64).reshape(-1, 5).T for rec in recorders],
+                axis=1,
+                out=columns,
+            )
+        thread = np.repeat(np.array([rec.thread_id for rec in recorders], dtype=np.int64), sizes)
+        return cls(thread, *columns)
 
     @classmethod
     def from_records(cls, records: Sequence[OpRecord]) -> "History":
@@ -179,12 +200,9 @@ class History:
     # one record per line, so saved runs can be re-checked later.
 
     def to_lines(self) -> Iterator[str]:
-        for i in range(len(self)):
-            yield (
-                f"{self.thread[i]} {_KIND_NAMES[int(self.kind[i])]} "
-                f"{self.invocation[i]} {self.response[i]} "
-                f"{self.seq[i]} {self.intact[i]}"
-            )
+        columns = (self.thread, self.kind, self.invocation, self.response, self.seq, self.intact)
+        for thread, kind, inv, resp, seq, intact in zip(*(c.tolist() for c in columns)):
+            yield f"{thread} {_KIND_NAMES[kind]} {inv} {resp} {seq} {intact}"
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -217,36 +235,65 @@ class History:
             return cls.from_lines(fh)
 
 
-def _validate(h: History) -> tuple[np.ndarray, np.ndarray]:
-    """Sanity-check the history; return (read indices, write indices)."""
-    if len(h) and (h.invocation > h.response).any():
+def _validate(h: History) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sanity-check the history; return (reads, writes, source).
+
+    ``writes`` lists the write indices in invocation order. ``source[i]`` is
+    the position, in ``[INITIAL_SEQ] + seqs of writes``, of the value that
+    read ``reads[i]`` returned: 0 for the initial value, k for ``writes[k-1]``.
+    """
+    inv, resp = h.invocation, h.response
+    if len(h) and (inv > resp).any():
         raise CorruptedHistoryError("operation with invocation after response")
     writes = np.flatnonzero(h.kind == KIND_WRITE)
     reads = np.flatnonzero(h.kind == KIND_READ)
     if len(writes):
-        order = writes[np.argsort(h.invocation[writes], kind="stable")]
-        seqs = h.seq[order]
+        # One writer records its writes in invocation order; sort only
+        # histories that arrive otherwise.
+        if (np.diff(inv[writes]) < 0).any():
+            writes = writes[np.argsort(inv[writes], kind="stable")]
+        seqs = h.seq[writes]
         if (np.diff(seqs) <= 0).any():
             raise CorruptedHistoryError("write sequence numbers are not strictly increasing")
         if (seqs <= INITIAL_SEQ).any():
             raise CorruptedHistoryError("write sequence number collides with the initial value")
-        if (h.invocation[order][1:] < h.response[order][:-1]).any():
+        if (inv[writes][1:] < resp[writes][:-1]).any():
             raise CorruptedHistoryError("writes overlap; single-writer history expected")
-    # Per-thread records must not overlap (operations of a thread are
-    # sequential); equal boundary timestamps are tolerated.
-    for tid in np.unique(h.thread):
-        idx = np.flatnonzero(h.thread == tid)
-        order = idx[np.argsort(h.invocation[idx], kind="stable")]
-        if len(order) > 1 and (h.invocation[order][1:] < h.response[order][:-1]).any():
-            raise CorruptedHistoryError(f"thread {tid} has overlapping operations")
-    if len(reads):
-        known = np.concatenate((h.seq[writes], [INITIAL_SEQ]))
-        if not np.isin(h.seq[reads], known).all():
-            bad = h.seq[reads][~np.isin(h.seq[reads], known)][0]
-            raise CorruptedHistoryError(
-                f"read returned seq {bad} which no write produced"
-            )
-    return reads, writes
+    _check_threads(h)
+    values = np.concatenate(([INITIAL_SEQ], h.seq[writes]))  # strictly increasing
+    r_seq = h.seq[reads]
+    if values[-1] == len(writes):  # values are 0, 1, .., W: each seq is its position
+        source = r_seq
+        unknown = (r_seq < INITIAL_SEQ) | (r_seq > values[-1])
+    else:
+        source = np.searchsorted(values, r_seq)
+        unknown = values[np.minimum(source, len(writes))] != r_seq
+    if unknown.any():
+        bad = r_seq[unknown][0]
+        raise CorruptedHistoryError(f"read returned seq {bad} which no write produced")
+    return reads, writes, source
+
+
+def _check_threads(h: History) -> None:
+    """Refuse a thread whose records overlap; equal boundaries are tolerated.
+
+    Rows merged from recorders come grouped by thread, each group in program
+    order, so comparing neighbours is the whole check once every thread is
+    known to form one contiguous run. Any other row order is sorted by
+    (thread, invocation) first.
+    """
+    if len(h) < 2:
+        return
+    thread, inv, resp = h.thread, h.invocation, h.response
+    same = thread[1:] == thread[:-1]
+    runs = np.concatenate((thread[:1], thread[1:][~same]))
+    if len(np.unique(runs)) == len(runs) and not (same & (inv[1:] < resp[:-1])).any():
+        return
+    order = np.lexsort((inv, thread))
+    thread, inv, resp = thread[order], inv[order], resp[order]
+    bad = np.flatnonzero((thread[1:] == thread[:-1]) & (inv[1:] < resp[:-1]))
+    if len(bad):
+        raise CorruptedHistoryError(f"thread {thread[bad[0]]} has overlapping operations")
 
 
 def check_no_past(h: History) -> list[RegularityViolation]:
@@ -257,44 +304,38 @@ def check_no_past(h: History) -> list[RegularityViolation]:
     when the write producing its value had not been invoked by the time the
     read responded. An empty report means the history is regular.
     """
-    reads, writes = _validate(h)
-    return _no_past(h, reads, writes)
+    return _no_past(h, *_validate(h))
 
 
-def _no_past(h: History, reads: np.ndarray, writes: np.ndarray) -> list[RegularityViolation]:
+def _no_past(
+    h: History, reads: np.ndarray, writes: np.ndarray, source: np.ndarray
+) -> list[RegularityViolation]:
     if not len(reads):
         return []
-    violations: list[RegularityViolation] = []
     r_inv = h.invocation[reads]
     r_resp = h.response[reads]
-    r_seq = h.seq[reads]
-    if len(writes):
-        order = writes[np.argsort(h.invocation[writes], kind="stable")]
-        w_inv = h.invocation[order]
-        w_resp = h.response[order]
-        w_seq = h.seq[order]
-        # Writes are sequential, so response order == invocation order ==
-        # seq order; completed-before and started-before lookups are
-        # prefix positions in that one ordering.
-        done_before = np.searchsorted(w_resp, r_inv, side="left")
-        newest_done = np.where(done_before > 0, w_seq[np.maximum(done_before - 1, 0)], INITIAL_SEQ)
-        started_before = np.searchsorted(w_inv, r_resp, side="right")
-        newest_avail = np.where(
-            started_before > 0, w_seq[np.maximum(started_before - 1, 0)], INITIAL_SEQ
-        )
-    else:
-        newest_done = np.full(len(reads), INITIAL_SEQ)
-        newest_avail = np.full(len(reads), INITIAL_SEQ)
-    stale = np.flatnonzero(r_seq < newest_done)
-    future = np.flatnonzero(r_seq > newest_avail)
-    for i in stale:
-        violations.append(
-            RegularityViolation(int(reads[i]), int(r_seq[i]), int(newest_done[i]), "stale-read")
-        )
-    for i in future:
-        violations.append(
-            RegularityViolation(int(reads[i]), int(r_seq[i]), int(newest_avail[i]), "future-read")
-        )
+    w_inv = h.invocation[writes]
+    w_resp = h.response[writes]
+    values = np.concatenate(([INITIAL_SEQ], h.seq[writes]))
+    # Writes are sequential, so invocation, response and seq order agree.
+    # A read is stale iff the write after its source completed before the
+    # read began, and future iff its source began after the read ended.
+    next_resp = np.concatenate((w_resp, [np.iinfo(np.int64).max]))
+    own_inv = np.concatenate(([np.iinfo(np.int64).min], w_inv))
+    stale = np.flatnonzero(next_resp[source] < r_inv)
+    future = np.flatnonzero(own_inv[source] > r_resp)
+    # Witnesses: the newest write completed before the read began, and the
+    # newest write begun before it ended (position 0 is the initial value).
+    newest_done = values[np.searchsorted(w_resp, r_inv[stale], side="left")]
+    newest_avail = values[np.searchsorted(w_inv, r_resp[future], side="right")]
+    violations = [
+        RegularityViolation(int(reads[i]), int(values[source[i]]), int(w), "stale-read")
+        for i, w in zip(stale, newest_done)
+    ]
+    violations += [
+        RegularityViolation(int(reads[i]), int(values[source[i]]), int(w), "future-read")
+        for i, w in zip(future, newest_avail)
+    ]
     return violations
 
 
@@ -307,35 +348,39 @@ def check_no_new_old_inversion(h: History) -> list[InversionViolation]:
     read); every read participating as the later element of some violating
     pair appears exactly once.
     """
-    reads, _ = _validate(h)
-    return _inversions(h, reads)
+    reads, _, source = _validate(h)
+    return _inversions(h, reads, source)
 
 
-def _inversions(h: History, reads: np.ndarray) -> list[InversionViolation]:
+def _inversions(h: History, reads: np.ndarray, source: np.ndarray) -> list[InversionViolation]:
     if len(reads) < 2:
         return []
     r_inv = h.invocation[reads]
     r_resp = h.response[reads]
+    # first[p]: the earliest response of a read that returned value p.
+    # newer[p]: the earliest response of a read that returned a value newer
+    # than p. A read is inverted iff such a read responded before it began.
+    first = np.full(source.max() + 2, np.iinfo(np.int64).max)
+    np.minimum.at(first, source, r_resp)
+    newer = np.minimum.accumulate(first[:0:-1])[::-1]
+    violating = np.flatnonzero(newer[source] < r_inv)
+    if not len(violating):
+        return []
+    # Witness: the newest-valued read among those that responded before the
+    # later read was invoked, taking the last such read by response.
     r_seq = h.seq[reads]
     by_resp = np.argsort(r_resp, kind="stable")
-    resp_sorted = r_resp[by_resp]
     seq_by_resp = r_seq[by_resp]
-    # Running maximum of returned seqs over reads sorted by response, with
-    # the argmax carried along for witness reporting.
     prefix_max = np.maximum.accumulate(seq_by_resp)
     is_new_max = seq_by_resp >= prefix_max
     argmax_by_resp = np.maximum.accumulate(np.where(is_new_max, np.arange(len(by_resp)), 0))
-    done_before = np.searchsorted(resp_sorted, r_inv, side="left")
-    has_pred = done_before > 0
-    best = np.where(has_pred, prefix_max[np.maximum(done_before - 1, 0)], INITIAL_SEQ)
-    violating = np.flatnonzero(has_pred & (best > r_seq))
-    violations: list[InversionViolation] = []
-    for i in violating:
-        w = by_resp[argmax_by_resp[done_before[i] - 1]]
-        violations.append(
-            InversionViolation(int(reads[w]), int(best[i]), int(reads[i]), int(r_seq[i]))
+    last_before = np.searchsorted(r_resp[by_resp], r_inv[violating], side="left") - 1
+    return [
+        InversionViolation(
+            int(reads[by_resp[argmax_by_resp[j]]]), int(prefix_max[j]), int(reads[i]), int(r_seq[i])
         )
-    return violations
+        for i, j in zip(violating, last_before)
+    ]
 
 
 def check_integrity(h: History) -> int:
@@ -363,9 +408,9 @@ class VerificationReport:
 
 def check_history(h: History) -> VerificationReport:
     """Run all checks and bundle the results (validating the history once)."""
-    reads, writes = _validate(h)
+    reads, writes, source = _validate(h)
     return VerificationReport(
-        no_past=_no_past(h, reads, writes),
-        inversions=_inversions(h, reads),
+        no_past=_no_past(h, reads, writes, source),
+        inversions=_inversions(h, reads, source),
         torn_reads=check_integrity(h),
     )

@@ -1,5 +1,6 @@
-"""Test apparatus: brute-force linearization oracle, history generator,
-word-level RMW counting, ARC's accounting checks, and a mutant.
+"""Test apparatus: brute-force linearization oracle, history generators,
+the reference history checker, word-level RMW counting, ARC's accounting
+checks, and a mutant.
 
 The oracle is deliberately independent of the incremental checker: it
 enumerates linear extensions of the real-time partial order and replays
@@ -17,11 +18,23 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from arcreg import ArcRegister, OpRecord, RfRegister, encode_versioned
 from arcreg.arc import ArcWriter, COUNTER_MASK, INDEX_SHIFT
 from arcreg.api import InvariantViolation
 from arcreg.atomics import AtomicU64
-from arcreg.history import INITIAL_SEQ
+from arcreg.history import (
+    INITIAL_SEQ,
+    KIND_READ,
+    KIND_WRITE,
+    CorruptedHistoryError,
+    History,
+    InversionViolation,
+    RegularityViolation,
+    VerificationReport,
+    check_integrity,
+)
 
 
 def linearizable_by_search(records: list[OpRecord]) -> bool:
@@ -105,6 +118,94 @@ def random_small_history(rng: random.Random, max_ops: int = 8) -> list[OpRecord]
             records.append(OpRecord(tid, "read", inv, resp, rng.choice(choices)))
             t = resp + rng.randint(1, 3)
     return records
+
+
+#: The ways ``random_raw_history`` can break a history, one per
+#: ``CorruptedHistoryError`` the checker raises.
+CORRUPTIONS = (
+    "invocation-after-response",
+    "write-seq-not-increasing",
+    "write-seq-initial",
+    "writes-overlap",
+    "thread-overlap",
+    "unknown-seq",
+)
+
+#: Row orders ``arrange_rows`` produces: recorder order (threads grouped, in
+#: program order), a shuffle, and sorted by invocation as a saved file may be.
+ROW_ORDERS = ("grouped", "shuffled", "time-sorted")
+
+
+def random_raw_history(rng: random.Random, corruption: str | None = None) -> list[tuple]:
+    """Generate rows ``(thread, kind, inv, resp, seq, intact)`` of a small history.
+
+    Thread 0 writes increasing seqs, consecutive or with gaps, and may also
+    read; threads 1..3 read seqs drawn from the writes and the initial value, so stale, future and
+    inverted reads are all common, and 1 read in 8 is torn. Timestamps are
+    small so that boundary ties are frequent. Rows come grouped by thread,
+    each thread in program order. ``corruption`` (one of ``CORRUPTIONS``)
+    breaks the history in that way, when it has an operation to break.
+    """
+    rows: list[list[int]] = []
+    values = [INITIAL_SEQ]
+    max_gap = rng.choice((1, 1, 3))  # seqs 1, 2, .. or with gaps
+    t = rng.randint(0, 3)
+    for _ in range(rng.randint(0, 4)):
+        values.append(values[-1] + rng.randint(1, max_gap))
+        inv = t + rng.randint(0, 3)
+        resp = inv + rng.randint(0, 4)
+        rows.append([0, KIND_WRITE, inv, resp, values[-1], 1])
+        t = resp + rng.randint(0, 2)
+    if rng.random() < 0.2:  # the writer reads after its last write
+        inv = t + rng.randint(0, 2)
+        rows.append([0, KIND_READ, inv, inv + rng.randint(0, 3), rng.choice(values), 1])
+    for tid in range(1, rng.randint(1, 3) + 1):
+        t = rng.randint(0, 6)
+        for _ in range(rng.randint(0, 4)):
+            inv = t + rng.randint(0, 4)
+            resp = inv + rng.randint(0, 6)
+            intact = 0 if rng.random() < 0.125 else 1
+            rows.append([tid, KIND_READ, inv, resp, rng.choice(values), intact])
+            t = resp + rng.randint(0, 2)
+    writes = [r for r in rows if r[1] == KIND_WRITE]
+    reads = [r for r in rows if r[1] == KIND_READ]
+    if corruption == "invocation-after-response" and rows:
+        row = rng.choice(rows)
+        row[3] = row[2] - rng.randint(1, 3)
+    elif corruption == "write-seq-not-increasing" and len(writes) > 1:
+        k = rng.randrange(len(writes) - 1)
+        writes[k + 1][4] = writes[k][4] - rng.randint(0, 1)
+    elif corruption == "write-seq-initial" and writes:
+        rng.choice(writes)[4] = INITIAL_SEQ - rng.randint(0, 2)
+    elif corruption == "writes-overlap" and len(writes) > 1:
+        k = rng.randrange(len(writes) - 1)
+        writes[k + 1][2] = writes[k][3] - rng.randint(1, 2)
+        writes[k + 1][3] = max(writes[k + 1][3], writes[k + 1][2])
+    elif corruption == "thread-overlap" and reads:
+        row = rng.choice(reads)
+        mates = [r for r in rows if r[0] == row[0] and r is not row]
+        if mates:  # start both at once, each lasting at least one tick
+            mate = rng.choice(mates)
+            row[2] = mate[2]
+            row[3] = max(row[3], row[2] + 1)
+            mate[3] = max(mate[3], mate[2] + 1)
+    elif corruption == "unknown-seq" and reads:
+        unknown = [-1, values[-1] + rng.randint(1, 3)]
+        unknown += sorted(set(range(values[-1])) - set(values))  # gaps
+        rng.choice(reads)[4] = rng.choice(unknown)
+    return [tuple(r) for r in rows]
+
+
+def arrange_rows(rows: list[tuple], order: str, rng: random.Random) -> History:
+    """Build a ``History`` from ``random_raw_history`` rows in one of ``ROW_ORDERS``."""
+    rows = list(rows)
+    if order == "shuffled":
+        rng.shuffle(rows)
+    elif order == "time-sorted":
+        rows.sort(key=lambda r: r[2])
+    elif order != "grouped":
+        raise ValueError(f"unknown row order {order!r}")
+    return History(*(zip(*rows) if rows else ([],) * 6))
 
 
 #: The mutant's copy granularity: word-aligned, and small enough that a
@@ -348,3 +449,117 @@ class CheckedArcRegister(ArcRegister):
 
     def _make_writer(self) -> CheckedArcWriter:
         return CheckedArcWriter(self)
+
+
+# -- reference checker ----------------------------------------------------------
+#
+# The history checker as it stood before its private part became a few
+# linear passes: a per-thread sort loop, a second sort of the writes and
+# ``np.isin`` for known seqs. Kept verbatim as the oracle the fast checker
+# must match report for report, witnesses and error messages included.
+
+
+def reference_check_history(h: History) -> VerificationReport:
+    """``check_history`` computed by the reference checker."""
+    reads, writes = _reference_validate(h)
+    return VerificationReport(
+        no_past=_reference_no_past(h, reads, writes),
+        inversions=_reference_inversions(h, reads),
+        torn_reads=check_integrity(h),
+    )
+
+
+def _reference_validate(h: History) -> tuple[np.ndarray, np.ndarray]:
+    """Sanity-check the history; return (read indices, write indices)."""
+    if len(h) and (h.invocation > h.response).any():
+        raise CorruptedHistoryError("operation with invocation after response")
+    writes = np.flatnonzero(h.kind == KIND_WRITE)
+    reads = np.flatnonzero(h.kind == KIND_READ)
+    if len(writes):
+        order = writes[np.argsort(h.invocation[writes], kind="stable")]
+        seqs = h.seq[order]
+        if (np.diff(seqs) <= 0).any():
+            raise CorruptedHistoryError("write sequence numbers are not strictly increasing")
+        if (seqs <= INITIAL_SEQ).any():
+            raise CorruptedHistoryError("write sequence number collides with the initial value")
+        if (h.invocation[order][1:] < h.response[order][:-1]).any():
+            raise CorruptedHistoryError("writes overlap; single-writer history expected")
+    # Per-thread records must not overlap (operations of a thread are
+    # sequential); equal boundary timestamps are tolerated.
+    for tid in np.unique(h.thread):
+        idx = np.flatnonzero(h.thread == tid)
+        order = idx[np.argsort(h.invocation[idx], kind="stable")]
+        if len(order) > 1 and (h.invocation[order][1:] < h.response[order][:-1]).any():
+            raise CorruptedHistoryError(f"thread {tid} has overlapping operations")
+    if len(reads):
+        known = np.concatenate((h.seq[writes], [INITIAL_SEQ]))
+        if not np.isin(h.seq[reads], known).all():
+            bad = h.seq[reads][~np.isin(h.seq[reads], known)][0]
+            raise CorruptedHistoryError(
+                f"read returned seq {bad} which no write produced"
+            )
+    return reads, writes
+
+
+def _reference_no_past(h: History, reads: np.ndarray, writes: np.ndarray) -> list[RegularityViolation]:
+    if not len(reads):
+        return []
+    violations: list[RegularityViolation] = []
+    r_inv = h.invocation[reads]
+    r_resp = h.response[reads]
+    r_seq = h.seq[reads]
+    if len(writes):
+        order = writes[np.argsort(h.invocation[writes], kind="stable")]
+        w_inv = h.invocation[order]
+        w_resp = h.response[order]
+        w_seq = h.seq[order]
+        # Writes are sequential, so response order == invocation order ==
+        # seq order; completed-before and started-before lookups are
+        # prefix positions in that one ordering.
+        done_before = np.searchsorted(w_resp, r_inv, side="left")
+        newest_done = np.where(done_before > 0, w_seq[np.maximum(done_before - 1, 0)], INITIAL_SEQ)
+        started_before = np.searchsorted(w_inv, r_resp, side="right")
+        newest_avail = np.where(
+            started_before > 0, w_seq[np.maximum(started_before - 1, 0)], INITIAL_SEQ
+        )
+    else:
+        newest_done = np.full(len(reads), INITIAL_SEQ)
+        newest_avail = np.full(len(reads), INITIAL_SEQ)
+    stale = np.flatnonzero(r_seq < newest_done)
+    future = np.flatnonzero(r_seq > newest_avail)
+    for i in stale:
+        violations.append(
+            RegularityViolation(int(reads[i]), int(r_seq[i]), int(newest_done[i]), "stale-read")
+        )
+    for i in future:
+        violations.append(
+            RegularityViolation(int(reads[i]), int(r_seq[i]), int(newest_avail[i]), "future-read")
+        )
+    return violations
+
+
+def _reference_inversions(h: History, reads: np.ndarray) -> list[InversionViolation]:
+    if len(reads) < 2:
+        return []
+    r_inv = h.invocation[reads]
+    r_resp = h.response[reads]
+    r_seq = h.seq[reads]
+    by_resp = np.argsort(r_resp, kind="stable")
+    resp_sorted = r_resp[by_resp]
+    seq_by_resp = r_seq[by_resp]
+    # Running maximum of returned seqs over reads sorted by response, with
+    # the argmax carried along for witness reporting.
+    prefix_max = np.maximum.accumulate(seq_by_resp)
+    is_new_max = seq_by_resp >= prefix_max
+    argmax_by_resp = np.maximum.accumulate(np.where(is_new_max, np.arange(len(by_resp)), 0))
+    done_before = np.searchsorted(resp_sorted, r_inv, side="left")
+    has_pred = done_before > 0
+    best = np.where(has_pred, prefix_max[np.maximum(done_before - 1, 0)], INITIAL_SEQ)
+    violating = np.flatnonzero(has_pred & (best > r_seq))
+    violations: list[InversionViolation] = []
+    for i in violating:
+        w = by_resp[argmax_by_resp[done_before[i] - 1]]
+        violations.append(
+            InversionViolation(int(reads[w]), int(best[i]), int(reads[i]), int(r_seq[i]))
+        )
+    return violations

@@ -20,6 +20,7 @@ from arcreg import (
     BenchConfig,
     CapacityError,
     History,
+    PetersonRegister,
     RegisterKind,
     RfRegister,
     check_history,
@@ -29,6 +30,7 @@ from arcreg import (
 from support import (
     BrokenArcRegister,
     CheckedArcRegister,
+    Meter,
     instrument,
     linearizable_by_search,
     random_small_history,
@@ -254,8 +256,20 @@ def test_criterion_7_memory_bound():
         rf = RfRegister(b"\x00" * 8, min(n, 58), 64)
         ok = ok and arc.content_buffer_count == n + 2
         ok = ok and rf.content_buffer_count == min(n, 58) + 2
-    _verdict(7, ok, "exactly N+2 content buffers for ARC and RF")
+    # Peterson copies the value on every operation: after a seeded schedule
+    # it holds one buffer per write and per read on top of the initial one.
+    peterson = PetersonRegister(encode_versioned(0, 64), 8, 64)
+    costs = run_schedule(peterson, Meter(), ops=2_000, write_every=4, seed=7)
+    writes = sum(c.kind == "write" for c in costs)
+    peterson_ok = writes > 0 and peterson.content_buffer_count == 1 + len(costs)
+    _verdict(
+        7,
+        ok and peterson_ok,
+        f"exactly N+2 content buffers for ARC and RF; Peterson "
+        f"{peterson.content_buffer_count} = 1 + {writes} writes + {len(costs) - writes} reads",
+    )
     assert ok
+    assert peterson_ok
 
 
 def test_criterion_8_relative_performance():

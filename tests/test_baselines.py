@@ -282,9 +282,17 @@ def test_peterson_write_back_propagates_between_readers():
     assert decode_versioned(*r2.read()) == (1, True)
 
 
-def test_peterson_cell_count_is_n_plus_1():
+def test_peterson_counts_a_buffer_per_write_and_per_read():
     reg = make(PetersonRegister, n_readers=4)
-    assert reg.content_buffer_count == 5
+    assert reg.content_buffer_count == 1  # the initial value
+    reader, writer = reg.new_reader(), reg.writer()
+    writer.write(encode_versioned(1, 4096))
+    assert reg.content_buffer_count == 2
+    reader.read()  # collects, then reports a fresh copy
+    assert reg.content_buffer_count == 3
+    with pytest.raises(ConfigurationError):
+        writer.write(b"")  # refused before anything is allocated
+    assert reg.content_buffer_count == 3
 
 
 # -- rwlock specifics ----------------------------------------------------------

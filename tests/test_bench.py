@@ -11,15 +11,17 @@ from arcreg import (
     CSV_HEADER,
     CapacityError,
     ConfigurationError,
+    History,
     MatrixSpec,
     RegisterKind,
+    check_history,
     emit_csv,
     encode_versioned,
     run_bench,
     run_matrix,
 )
 from arcreg.cli import main as cli_main
-from support import instrument, run_schedule
+from support import BrokenArcRegister, instrument, run_schedule
 
 
 def test_smoke_hold_run_with_verification():
@@ -252,3 +254,48 @@ def test_repeat_gives_one_row_per_run(capsys):
     )
     results = run_matrix(spec)
     assert [r.algo for r in results] == [RegisterKind.ARC] * 2 + [RegisterKind.RF] * 2
+
+
+def test_saved_history_rechecks_to_the_same_verdict(tmp_path):
+    # The publish-before-copy mutant, so that the saved history holds
+    # violations of every kind the run counts.
+    def broken_factory(cfg):
+        return BrokenArcRegister(encode_versioned(0, cfg.size), cfg.readers, cfg.size)
+
+    path = tmp_path / "history.txt"
+    cfg = BenchConfig(
+        algo=RegisterKind.ARC, readers=4, size=4096, duration=0.5, mode="work",
+        verify=True, seed=9, switch_interval=0.0002, history_out=path,
+    )
+    for _ in range(5):
+        result = run_bench(cfg, register_factory=broken_factory)
+        if result.violations:
+            break
+    assert result.violations > 0
+    history = History.load(path)
+    assert len(history) == result.reads + result.writes
+    report = check_history(history)
+    assert (len(report.no_past), len(report.inversions), report.torn_reads) == (
+        result.no_past, result.inversions, result.torn_reads,
+    )
+
+
+def test_cli_history_out_saves_exactly_one_verified_run(tmp_path, capsys):
+    path = tmp_path / "history.txt"
+    run = ["--algo", "arc", "--readers", "1", "--size", "64", "--duration", "0.1"]
+    assert cli_main(run + ["--verify", "--history-out", str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    history = History.load(path)
+    assert len(history) == int(row[5]) + int(row[6])  # reads + writes
+    assert check_history(history).total_violations == 0
+    path.unlink()
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"algos": ["arc"], "readers": [1], "sizes": [64],
+                                 "duration": 0.1, "verify": True}))
+    for rejected in (
+        run + ["--history-out", str(path)],  # nothing recorded without --verify
+        run + ["--verify", "--repeat", "2", "--history-out", str(path)],
+        ["--matrix", str(sweep), "--history-out", str(path)],
+    ):
+        assert cli_main(rejected) == 2
+        assert not path.exists()

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from arcreg import (
     check_no_new_old_inversion,
     check_no_past,
 )
-from support import linearizable_by_search, random_small_history
+from support import (
+    CORRUPTIONS,
+    ROW_ORDERS,
+    arrange_rows,
+    linearizable_by_search,
+    random_raw_history,
+    random_small_history,
+    reference_check_history,
+)
 
 
 def H(*records):
@@ -266,3 +275,71 @@ def test_checker_matches_bruteforce_oracle_on_random_histories():
         records = random_small_history(rng)
         report = check_history(History.from_records(records))
         assert report.atomic == linearizable_by_search(records)
+
+
+def _outcome(check, h):
+    """A checker's report, or the message of the CorruptedHistoryError it raised."""
+    try:
+        return check(h)
+    except CorruptedHistoryError as exc:
+        return f"corrupt: {exc}"
+
+
+#: One fragment of each CorruptedHistoryError message the checker can raise.
+_CORRUPT_KINDS = (
+    "invocation after response",
+    "not strictly increasing",
+    "collides with the initial value",
+    "writes overlap",
+    "has overlapping operations",
+    "which no write produced",
+)
+
+
+def _verdicts(outcome) -> list[str]:
+    if isinstance(outcome, str):
+        return [kind for kind in _CORRUPT_KINDS if kind in outcome]
+    flavors = {v.flavor for v in outcome.no_past}
+    verdicts = [f for f in ("stale-read", "future-read") if f in flavors]
+    verdicts += ["inverted"] * bool(outcome.inversions) + ["torn"] * bool(outcome.torn_reads)
+    return verdicts or ["valid"]
+
+
+def test_checker_matches_reference_checker_on_random_histories():
+    # Differential test against the reference checker: the same reports,
+    # witnesses and order included, and the same error messages, for rows
+    # grouped as recorders give them, shuffled, and sorted by invocation.
+    rng = random.Random(12)
+    seen = Counter()
+    for i in range(20_000):
+        corruption = CORRUPTIONS[i // 4 % len(CORRUPTIONS)] if i % 4 == 0 else None
+        rows = random_raw_history(rng, corruption)
+        h = arrange_rows(rows, ROW_ORDERS[i % len(ROW_ORDERS)], rng)
+        want = _outcome(reference_check_history, h)
+        assert _outcome(check_history, h) == want, (rows, ROW_ORDERS[i % len(ROW_ORDERS)])
+        seen.update(_verdicts(want))
+    for verdict in ("valid", "stale-read", "future-read", "inverted", "torn") + _CORRUPT_KINDS:
+        assert seen[verdict] >= 100, seen
+
+
+def test_thread_split_by_another_thread_is_still_an_overlap():
+    # Thread 1's two reads overlap, but thread 2's row sits between them, so
+    # no two neighbouring rows share a thread.
+    h = H(
+        OpRecord(1, "read", 0, 10, 0),
+        OpRecord(2, "read", 0, 1, 0),
+        OpRecord(1, "read", 5, 6, 0),
+    )
+    with pytest.raises(CorruptedHistoryError, match="^thread 1 has overlapping operations$"):
+        check_history(h)
+
+
+def test_thread_rows_out_of_program_order_are_sorted_before_the_check():
+    h = H(
+        OpRecord(0, "write", 0, 1, 1),
+        OpRecord(1, "read", 5, 6, 1),
+        OpRecord(1, "read", 2, 3, 1),
+    )
+    report = check_history(h)
+    assert report.total_violations == 0
+    assert report == reference_check_history(h)
