@@ -23,8 +23,8 @@ Recording is per-thread and contention-free: each operation is one packed
 40-byte row of five native int64 fields, appended whole to a flat
 ``array('q')``. Merging and checking happen single-threaded after the run.
 
-Checking costs a few linear passes over the rows and no sort of a history
-merged from recorders:
+Checking costs a few linear passes over the rows; a history merged from
+recorders, with no inverted read, is checked without any sort:
 
 * validation: writes, which one writer records in invocation order, are
   sorted only when they arrive otherwise. Threads are checked for

@@ -140,9 +140,9 @@ def random_raw_history(rng: random.Random, corruption: str | None = None) -> lis
     """Generate rows ``(thread, kind, inv, resp, seq, intact)`` of a small history.
 
     Thread 0 writes increasing seqs, consecutive or with gaps, and may also
-    read; threads 1..3 read seqs drawn from the writes and the initial value, so stale, future and
-    inverted reads are all common, and 1 read in 8 is torn. Timestamps are
-    small so that boundary ties are frequent. Rows come grouped by thread,
+    read; threads 1..3 read seqs drawn from the writes and the initial
+    value, so stale, future and inverted reads are all common, and 1 read
+    in 8 is torn. Timestamps are small so that boundary ties are frequent. Rows come grouped by thread,
     each thread in program order. ``corruption`` (one of ``CORRUPTIONS``)
     breaks the history in that way, when it has an operation to break.
     """
