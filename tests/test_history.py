@@ -317,6 +317,9 @@ def test_checker_matches_reference_checker_on_random_histories():
         h = arrange_rows(rows, ROW_ORDERS[i % len(ROW_ORDERS)], rng)
         want = _outcome(reference_check_history, h)
         assert _outcome(check_history, h) == want, (rows, ROW_ORDERS[i % len(ROW_ORDERS)])
+        if i % 10 == 0 and not isinstance(want, str):
+            assert check_no_past(h) == want.no_past, rows
+            assert check_no_new_old_inversion(h) == want.inversions, rows
         seen.update(_verdicts(want))
     for verdict in ("valid", "stale-read", "future-read", "inverted", "torn") + _CORRUPT_KINDS:
         assert seen[verdict] >= 100, seen
