@@ -113,12 +113,21 @@ class Register:
 
     The base class owns the handle registry (one writer, ``n_readers``
     readers), the size contract (``_fit``: a value is 1..``max_size``
-    bytes, checked before any side effect), the content copy
-    (``_copy_in``: one memcpy from a byte-format buffer), content-buffer
+    bytes, checked before any side effect), content-buffer allocation and
     accounting, and the rollup of the handles' ``rmw_ops`` tallies.
     Subclasses implement ``_make_reader(reader_id)`` and ``_make_writer()``;
     handles are usable from one thread at a time but may migrate between
     operations.
+
+    Kept-view rule: ``_new_content_buffer`` returns each buffer together
+    with a ``memoryview`` of it, made once, and the register keeps that
+    view next to the buffer. Every initial value and every write copies
+    in as one slice assignment through the kept view,
+    ``view[:size] = data``: a single memcpy from any source ``_fit``
+    admits. Assigning to a ``bytearray`` slice instead would first copy a
+    non-``bytearray`` source into a temporary, and building a fresh view
+    per write costs more than the copy of a small value. Readers get the
+    ``bytearray`` itself, never the view.
     """
 
     kind: RegisterKind
@@ -163,16 +172,19 @@ class Register:
         """Number of content buffers this register allocated (exact)."""
         return self._allocated_buffers
 
-    def _new_content_buffer(self) -> bytearray:
+    def _new_content_buffer(self) -> tuple[bytearray, memoryview]:
+        """Allocate one ``max_size`` buffer; return it and its kept view."""
         self._allocated_buffers += 1
-        return bytearray(self.max_size)
+        content = bytearray(self.max_size)
+        return content, memoryview(content)
 
     def _fit(self, data) -> int:
         """Return the size of ``data`` if it is a legal register value.
 
         A legal value is a one-dimensional byte-format buffer (``bytes``,
         ``bytearray``, a ``'B'`` memoryview) of 1..``max_size`` bytes:
-        exactly the sources ``_copy_in`` takes. Every initial value and
+        exactly the sources one slice assignment through a ``'B'``
+        memoryview copies with a single memcpy. Every initial value and
         every write passes here before anything else happens, so a
         rejected value leaves the register untouched.
         """
@@ -189,17 +201,6 @@ class Register:
                 f"value of {size} bytes does not fit max_size={self.max_size}"
             )
         return size
-
-    @staticmethod
-    def _copy_in(buf: bytearray, data) -> None:
-        """Copy ``data`` into the head of ``buf`` with a single memcpy.
-
-        Slice assignment to a ``bytearray`` first copies any source that is
-        not itself a ``bytearray`` into a temporary; a memoryview target
-        reads the source's buffer directly. ``_fit`` has already refused
-        every source this copy cannot take.
-        """
-        memoryview(buf)[: len(data)] = data
 
     def _make_reader(self, reader_id: int):
         raise NotImplementedError

@@ -57,16 +57,18 @@ class _Slot:
     ``r_start`` is writer-private: reset on reuse, frozen on retirement,
     and read only by the writer's free-slot search. ``r_end`` is an atomic
     RMW counter because several readers may release the same slot
-    concurrently.
+    concurrently. ``view`` is the kept view writes copy through; readers
+    get ``content``.
     """
 
-    __slots__ = ("r_start", "r_end", "size", "content")
+    __slots__ = ("r_start", "r_end", "size", "content", "view")
 
-    def __init__(self, content: bytearray) -> None:
+    def __init__(self, content: bytearray, view: memoryview) -> None:
         self.r_start = 0
         self.r_end = AtomicU64(0)
         self.size = 0
         self.content = content
+        self.view = view
 
 
 class ArcRegister(Register):
@@ -91,8 +93,8 @@ class ArcRegister(Register):
         # I1 state: N+2 slots, all counters zero, slot 0 holds the initial
         # value, and current = pack(0, N) -- as if every reader already
         # started reading slot 0.
-        self._slots = [_Slot(self._new_content_buffer()) for _ in range(n_readers + 2)]
-        self._copy_in(self._slots[0].content, initial)
+        self._slots = [_Slot(*self._new_content_buffer()) for _ in range(n_readers + 2)]
+        self._slots[0].view[:size] = initial
         self._slots[0].size = size
         self._current = AtomicU64(pack(0, n_readers))  # I1
 
@@ -145,13 +147,12 @@ class ArcReader:
 class ArcWriter:
     """The single writer: selects a free slot, copies, publishes, freezes."""
 
-    __slots__ = ("_reg", "last_slot", "writes", "rmw_ops")
+    __slots__ = ("_reg", "last_slot", "writes")
 
     def __init__(self, reg: ArcRegister) -> None:
         self._reg = reg
         self.last_slot = 0  # matches init: slot 0 holds the initial value
         self.writes = 0
-        self.rmw_ops = 0
 
     def write(self, data) -> None:
         """Publish ``data`` as the new register value.
@@ -161,43 +162,51 @@ class ArcWriter:
         Executes exactly one RMW (the W2 exchange).
         """
         reg = self._reg
+        slots = reg._slots
         size = reg._fit(data)  # before any side effect
         slot_idx = self.find_free_slot()  # W1
-        slot = reg._slots[slot_idx]
-        # One memcpy through a memoryview target: the chosen slot is
-        # unpublished until W2, so nothing here needs to be interruptible,
-        # and a plain bytearray slice assignment would copy non-bytearray
-        # sources twice.
-        reg._copy_in(slot.content, data)
+        slot = slots[slot_idx]
+        # One memcpy through the slot's kept view (see ``Register``): the
+        # chosen slot is unpublished until W2, so the copy need not be
+        # interruptible.
+        slot.view[:size] = data
         slot.size = size
         slot.r_start = 0
         slot.r_end.store(0)
         old = reg._current.exchange(slot_idx << INDEX_SHIFT)  # W2: publish
-        self.rmw_ops += 1
         old_slot = old >> INDEX_SHIFT
         freed = old & COUNTER_MASK  # W3 mask
         if freed > reg.n_readers:
             raise InvariantViolation(
                 f"frozen presence count {freed} exceeds N={reg.n_readers}"
             )
-        reg._slots[old_slot].r_start = freed  # W3: freeze retired slot
+        slots[old_slot].r_start = freed  # W3: freeze retired slot
         self.last_slot = slot_idx
         self.writes += 1
+
+    @property
+    def rmw_ops(self) -> int:
+        return self.writes  # one W2 exchange per write
 
     def find_free_slot(self) -> int:
         """Return a slot index != last_slot whose ``r_start == r_end``.
 
         Next fit: the search starts one past ``last_slot``, wraps around,
-        and returns the first free slot, so a write usually probes one or
-        two slots whatever N is. It probes at most the N+1 other slots;
-        exhausting them would falsify the free-slot accounting and aborts
-        loudly.
+        and returns the first free slot. While the readers keep reading, a
+        write usually probes one or two slots whatever N is. A reader that
+        stops keeps its last slot busy, so with N readers parked on N
+        different slots a write probes about (N+1)/2 slots on average. It
+        probes at most the N+1 other slots; exhausting them would falsify
+        the free-slot accounting and aborts loudly.
         """
         slots = self._reg._slots
         last = self.last_slot
         n_slots = len(slots)
-        for probes in range(1, n_slots):
-            idx = (last + probes) % n_slots
+        idx = last
+        for _ in range(n_slots - 1):
+            idx += 1
+            if idx == n_slots:
+                idx = 0
             slot = slots[idx]
             if slot.r_start == slot.r_end.load():
                 return idx

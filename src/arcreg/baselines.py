@@ -23,11 +23,12 @@ from .atomics import AtomicU64
 
 
 class _Buffer:
-    __slots__ = ("size", "content")
+    __slots__ = ("size", "content", "view")
 
-    def __init__(self, content: bytearray) -> None:
+    def __init__(self, content: bytearray, view: memoryview) -> None:
         self.size = 0
         self.content = content
+        self.view = view
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,8 @@ class RfRegister(Register):
             )
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
-        self._buffers = [_Buffer(self._new_content_buffer()) for _ in range(n_readers + 2)]
-        self._copy_in(self._buffers[0].content, initial)
+        self._buffers = [_Buffer(*self._new_content_buffer()) for _ in range(n_readers + 2)]
+        self._buffers[0].view[:size] = initial
         self._buffers[0].size = size
         # status = index << 58 | presence bits; buffer 0 current, no readers.
         self._status = AtomicU64(0)
@@ -106,7 +107,7 @@ class RfReader:
 
 
 class RfWriter:
-    __slots__ = ("_reg", "_current", "_trace", "writes", "rmw_ops")
+    __slots__ = ("_reg", "_current", "_trace", "writes")
 
     def __init__(self, reg: RfRegister) -> None:
         self._reg = reg
@@ -115,7 +116,6 @@ class RfWriter:
         # current at start, so zeros need no sentinel.
         self._trace = [0] * reg.n_readers
         self.writes = 0
-        self.rmw_ops = 0
 
     def write(self, data) -> None:
         """Copy ``data`` into an untraced buffer and publish it (one RMW)."""
@@ -133,10 +133,9 @@ class RfWriter:
                 "(implementation bug)"
             )
         buf = reg._buffers[target]
-        reg._copy_in(buf.content, data)
+        buf.view[:size] = data
         buf.size = size
         old = reg._status.exchange(target << _RF_INDEX_SHIFT)
-        self.rmw_ops += 1
         retired = self._current
         if old >> _RF_INDEX_SHIFT != retired:
             raise InvariantViolation("published index drifted from writer state")
@@ -147,6 +146,10 @@ class RfWriter:
             readers ^= low
         self._current = target
         self.writes += 1
+
+    @property
+    def rmw_ops(self) -> int:
+        return self.writes  # one exchange per write
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +191,7 @@ class PetersonRegister(Register):
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
-        content = bytearray(size)  # one fresh buffer per value, not a slot
-        self._copy_in(content, initial)
-        snap0 = (0, size, content)
+        snap0 = (0, size, bytearray(initial))  # one fresh buffer per value, not a slot
         self._wcell = _Cell(snap0)
         self._rcells = [_Cell(snap0) for _ in range(n_readers)]
 
@@ -249,8 +250,7 @@ class PetersonWriter:
     def write(self, data) -> None:
         reg = self._reg
         size = reg._fit(data)
-        content = bytearray(size)
-        reg._copy_in(content, data)
+        content = bytearray(data)  # one copy: a fresh buffer per write
         self._seq += 1
         reg._wcell.snap = (self._seq, size, content)
         self.writes += 1
@@ -289,8 +289,8 @@ class RwlockRegister(Register):
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
         self._word = AtomicU64(0)
-        self._content = self._new_content_buffer()
-        self._copy_in(self._content, initial)
+        self._content, self._view = self._new_content_buffer()
+        self._view[:size] = initial
         self._size = size
 
     def _make_reader(self, reader_id: int) -> "RwlockReader":
@@ -368,7 +368,7 @@ class RwlockWriter:
             while word.load() & _READER_COUNT_MASK:
                 step += 1
                 _spin(step)
-            reg._copy_in(reg._content, data)
+            reg._view[:size] = data
             reg._size = size
         finally:
             # A source the copy rejects raises before any byte moves; the

@@ -26,12 +26,14 @@ Recording is per-thread and contention-free: each operation is one packed
 Checking costs a few linear passes over the rows; a history merged from
 recorders, with no inverted read, is checked without any sort:
 
-* validation: writes, which one writer records in invocation order, are
-  sorted only when they arrive otherwise. Threads are checked for
-  overlapping records by comparing neighbouring rows, once every thread is
-  seen to form one contiguous run, as ``History.from_recorders`` yields
-  them; any other row order (a shuffled or time-sorted file) takes one
-  ``lexsort`` by (thread, invocation) first.
+* validation: the read and write index lists also prove that every row is
+  one or the other. Writes, which one writer records in invocation order,
+  are sorted only when they arrive otherwise, and their columns are
+  gathered once for validation and the regularity check. Threads are
+  checked for overlapping records by comparing neighbouring rows, once
+  every thread is seen to form one contiguous run, as
+  ``History.from_recorders`` yields them; any other row order (a shuffled
+  or time-sorted file) takes one ``lexsort`` by (thread, invocation) first.
 * each read is mapped once to the position of the write it returned, which
   is also the check that some write produced its seq: the seq is the
   position when the writes carry seqs 1, 2, ..., W, and one binary search
@@ -70,9 +72,10 @@ _ROW = struct.Struct("=5q").pack
 class CorruptedHistoryError(ValueError):
     """The history is not a single-writer register history at all.
 
-    Raised for reads returning a sequence number no write produced, for
-    overlapping or non-increasing writes, and for overlapping records on
-    one thread; the checks refuse to guess about such input.
+    Raised for operation kinds other than read and write, for reads
+    returning a sequence number no write produced, for overlapping or
+    non-increasing writes, and for overlapping records on one thread; the
+    checks refuse to guess about such input.
     """
 
 
@@ -235,32 +238,38 @@ class History:
             return cls.from_lines(fh)
 
 
-def _validate(h: History) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sanity-check the history; return (reads, writes, source).
+def _validate(h: History) -> tuple[np.ndarray, ...]:
+    """Sanity-check the history; return (reads, source, w_inv, w_resp, values).
 
-    ``writes`` lists the write indices in invocation order. ``source[i]`` is
-    the position, in ``[INITIAL_SEQ] + seqs of writes``, of the value that
-    read ``reads[i]`` returned: 0 for the initial value, k for ``writes[k-1]``.
+    ``w_inv`` and ``w_resp`` are the writes' invocation and response
+    columns in invocation order, and ``values`` is ``[INITIAL_SEQ]``
+    followed by their seqs, each gathered once. ``source[i]`` is the
+    position in ``values`` of the value that read ``reads[i]`` returned:
+    0 for the initial value, k for the k-th write.
     """
     inv, resp = h.invocation, h.response
     if len(h) and (inv > resp).any():
         raise CorruptedHistoryError("operation with invocation after response")
     writes = np.flatnonzero(h.kind == KIND_WRITE)
     reads = np.flatnonzero(h.kind == KIND_READ)
-    if len(writes):
-        # One writer records its writes in invocation order; sort only
-        # histories that arrive otherwise.
-        if (np.diff(inv[writes]) < 0).any():
-            writes = writes[np.argsort(inv[writes], kind="stable")]
-        seqs = h.seq[writes]
-        if (np.diff(seqs) <= 0).any():
-            raise CorruptedHistoryError("write sequence numbers are not strictly increasing")
-        if (seqs <= INITIAL_SEQ).any():
-            raise CorruptedHistoryError("write sequence number collides with the initial value")
-        if (inv[writes][1:] < resp[writes][:-1]).any():
-            raise CorruptedHistoryError("writes overlap; single-writer history expected")
+    if len(reads) + len(writes) != len(h):
+        bad = h.kind[(h.kind != KIND_READ) & (h.kind != KIND_WRITE)][0]
+        raise CorruptedHistoryError(f"operation kind {bad} is neither read nor write")
+    w_inv = inv[writes]
+    # One writer records its writes in invocation order; sort only
+    # histories that arrive otherwise.
+    if (np.diff(w_inv) < 0).any():
+        order = np.argsort(w_inv, kind="stable")
+        writes, w_inv = writes[order], w_inv[order]
+    w_resp = resp[writes]
+    values = np.concatenate(([INITIAL_SEQ], h.seq[writes]))
+    if (np.diff(values[1:]) <= 0).any():
+        raise CorruptedHistoryError("write sequence numbers are not strictly increasing")
+    if len(writes) and values[1] <= INITIAL_SEQ:  # the smallest seq, once they increase
+        raise CorruptedHistoryError("write sequence number collides with the initial value")
+    if (w_inv[1:] < w_resp[:-1]).any():
+        raise CorruptedHistoryError("writes overlap; single-writer history expected")
     _check_threads(h)
-    values = np.concatenate(([INITIAL_SEQ], h.seq[writes]))  # strictly increasing
     r_seq = h.seq[reads]
     if values[-1] == len(writes):  # values are 0, 1, .., W: each seq is its position
         source = r_seq
@@ -271,7 +280,7 @@ def _validate(h: History) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if unknown.any():
         bad = r_seq[unknown][0]
         raise CorruptedHistoryError(f"read returned seq {bad} which no write produced")
-    return reads, writes, source
+    return reads, source, w_inv, w_resp, values
 
 
 def _check_threads(h: History) -> None:
@@ -308,15 +317,17 @@ def check_no_past(h: History) -> list[RegularityViolation]:
 
 
 def _no_past(
-    h: History, reads: np.ndarray, writes: np.ndarray, source: np.ndarray
+    h: History,
+    reads: np.ndarray,
+    source: np.ndarray,
+    w_inv: np.ndarray,
+    w_resp: np.ndarray,
+    values: np.ndarray,
 ) -> list[RegularityViolation]:
     if not len(reads):
         return []
     r_inv = h.invocation[reads]
     r_resp = h.response[reads]
-    w_inv = h.invocation[writes]
-    w_resp = h.response[writes]
-    values = np.concatenate(([INITIAL_SEQ], h.seq[writes]))
     # Writes are sequential, so invocation, response and seq order agree.
     # A read is stale iff the write after its source completed before the
     # read began, and future iff its source began after the read ended.
@@ -348,7 +359,7 @@ def check_no_new_old_inversion(h: History) -> list[InversionViolation]:
     read); every read participating as the later element of some violating
     pair appears exactly once.
     """
-    reads, _, source = _validate(h)
+    reads, source, *_ = _validate(h)
     return _inversions(h, reads, source)
 
 
@@ -408,9 +419,9 @@ class VerificationReport:
 
 def check_history(h: History) -> VerificationReport:
     """Run all checks and bundle the results (validating the history once)."""
-    reads, writes, source = _validate(h)
+    reads, source, *writes = _validate(h)
     return VerificationReport(
-        no_past=_no_past(h, reads, writes, source),
+        no_past=_no_past(h, reads, source, *writes),
         inversions=_inversions(h, reads, source),
         torn_reads=check_integrity(h),
     )

@@ -129,6 +129,7 @@ CORRUPTIONS = (
     "writes-overlap",
     "thread-overlap",
     "unknown-seq",
+    "unknown-kind",
 )
 
 #: Row orders ``arrange_rows`` produces: recorder order (threads grouped, in
@@ -193,6 +194,8 @@ def random_raw_history(rng: random.Random, corruption: str | None = None) -> lis
         unknown = [-1, values[-1] + rng.randint(1, 3)]
         unknown += sorted(set(range(values[-1])) - set(values))  # gaps
         rng.choice(reads)[4] = rng.choice(unknown)
+    elif corruption == "unknown-kind" and rows:
+        rng.choice(rows)[1] = rng.choice((-1, 2, 5))
     return [tuple(r) for r in rows]
 
 
@@ -232,12 +235,11 @@ class BrokenArcWriter(ArcWriter):
         slot.r_start = 0
         slot.r_end.store(0)
         old = reg._current.exchange(slot_idx << INDEX_SHIFT)  # W2 first: wrong
-        self.rmw_ops += 1
         # Copy after publish: the injected bug.
-        target, source = memoryview(slot.content), memoryview(data)
+        source = memoryview(data)
         for off in range(0, size, MUTANT_COPY_CHUNK):
             end = min(off + MUTANT_COPY_CHUNK, size)
-            target[off:end] = source[off:end]
+            slot.view[off:end] = source[off:end]
         slot.size = size
         old_slot = old >> INDEX_SHIFT
         freed = old & COUNTER_MASK
@@ -455,8 +457,10 @@ class CheckedArcRegister(ArcRegister):
 #
 # The history checker as it stood before its private part became a few
 # linear passes: a per-thread sort loop, a second sort of the writes and
-# ``np.isin`` for known seqs. Kept verbatim as the oracle the fast checker
-# must match report for report, witnesses and error messages included.
+# ``np.isin`` for known seqs. Kept as it was, as the oracle the fast checker
+# must match report for report, witnesses and error messages included; the
+# one addition is the refusal of kind codes other than read and write, a
+# separate mask that the fast checker gets from its two index lists.
 
 
 def reference_check_history(h: History) -> VerificationReport:
@@ -473,6 +477,10 @@ def _reference_validate(h: History) -> tuple[np.ndarray, np.ndarray]:
     """Sanity-check the history; return (read indices, write indices)."""
     if len(h) and (h.invocation > h.response).any():
         raise CorruptedHistoryError("operation with invocation after response")
+    unknown_kind = (h.kind != KIND_READ) & (h.kind != KIND_WRITE)
+    if unknown_kind.any():
+        bad = h.kind[unknown_kind][0]
+        raise CorruptedHistoryError(f"operation kind {bad} is neither read nor write")
     writes = np.flatnonzero(h.kind == KIND_WRITE)
     reads = np.flatnonzero(h.kind == KIND_READ)
     if len(writes):

@@ -2,6 +2,7 @@
 
 import random
 import threading
+import tracemalloc
 from array import array
 
 import pytest
@@ -184,6 +185,28 @@ def test_slot_registers_copy_every_source_type(cls):
     writer.write(caller)
     caller[:] = encode_versioned(9, 256)  # mutate the caller's buffer
     assert _read_value(reader) == encode_versioned(4, 256)
+
+
+@pytest.mark.parametrize("cls", ALL_REGISTERS)
+def test_a_write_allocates_no_value_sized_temporary(cls):
+    # Assigning a bytes source to a bytearray slice copies it into a
+    # temporary bytearray first; a write through a memoryview reads the
+    # source directly. Peterson keeps one fresh buffer per value.
+    size = 128 * 1024
+    reg = make(cls, max_size=size)
+    writer = reg.writer()
+    writer.write(encode_versioned(1, size))  # nothing left to set up lazily
+    data = encode_versioned(2, size)
+    tracemalloc.start()
+    try:
+        writer.write(data)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if cls is PetersonRegister:
+        assert size <= current and peak < size * 3 // 2, (current, peak)
+    else:
+        assert peak < size // 2, peak
 
 
 @pytest.mark.parametrize("cls", [ArcRegister, RfRegister, PetersonRegister])

@@ -138,6 +138,16 @@ def test_non_increasing_write_seq_is_corrupted_history():
         check_no_past(h)
 
 
+def test_unknown_kind_code_is_corrupted_history():
+    # Kind 2 is neither read nor write: neither index list holds the row,
+    # and the text export has no name for it.
+    h = History([1, 0], [2, 1], [0, 0], [1, 1], [5, 1], [1, 1])
+    checks = (check_history, check_no_past, check_no_new_old_inversion, reference_check_history)
+    for check in checks:
+        with pytest.raises(CorruptedHistoryError, match="^operation kind 2 is neither read nor "):
+            check(h)
+
+
 def test_check_history_validates_once_and_agrees_with_the_public_checkers(monkeypatch):
     import arcreg.history as history
 
@@ -293,6 +303,7 @@ _CORRUPT_KINDS = (
     "writes overlap",
     "has overlapping operations",
     "which no write produced",
+    "neither read nor write",
 )
 
 
