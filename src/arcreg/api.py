@@ -130,8 +130,6 @@ class Register:
     ``bytearray`` itself, never the view.
     """
 
-    kind: RegisterKind
-
     def __init__(self, n_readers: int, max_size: int) -> None:
         if n_readers < 1:
             raise CapacityError(f"need at least one reader, got {n_readers}")

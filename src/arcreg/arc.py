@@ -33,7 +33,6 @@ from .api import (
     CapacityError,
     InvariantViolation,
     Register,
-    RegisterKind,
 )
 from .atomics import AtomicU64
 
@@ -81,12 +80,11 @@ class ArcRegister(Register):
             this size and writes of any size up to it are accepted.
     """
 
-    kind = RegisterKind.ARC
-
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
-        if not 1 <= n_readers <= ARC_MAX_READERS:
+        if n_readers > ARC_MAX_READERS:
             raise CapacityError(
-                f"reader count must be in [1, 2**32 - 2], got {n_readers}"
+                f"anonymous-counting register admits at most {ARC_MAX_READERS} "
+                f"readers, got {n_readers}"
             )
         super().__init__(n_readers, max_size)
         size = self._fit(initial)

@@ -16,7 +16,6 @@ from .api import (
     CapacityError,
     InvariantViolation,
     Register,
-    RegisterKind,
     RF_MAX_READERS,
 )
 from .atomics import AtomicU64
@@ -58,8 +57,6 @@ class RfRegister(Register):
     of reach until then. The writer avoids the current buffer and the N
     traced ones, so N+2 buffers always leave one free.
     """
-
-    kind = RegisterKind.RF
 
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         if n_readers > RF_MAX_READERS:
@@ -186,8 +183,6 @@ class PetersonRegister(Register):
     per write, and one collect plus one write-back copy per read.
     """
 
-    kind = RegisterKind.PETERSON
-
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
@@ -283,8 +278,6 @@ class RwlockRegister(Register):
     preference bit alone gives the intended behavior.
     """
 
-    kind = RegisterKind.RWLOCK
-
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
@@ -350,19 +343,17 @@ class RwlockReader:
 
 
 class RwlockWriter:
-    __slots__ = ("_reg", "writes", "rmw_ops")
+    __slots__ = ("_reg", "writes")
 
     def __init__(self, reg: RwlockRegister) -> None:
         self._reg = reg
         self.writes = 0
-        self.rmw_ops = 0
 
     def write(self, data) -> None:
         reg = self._reg
-        size = reg._fit(data)
+        size = reg._fit(data)  # a rejected source never takes the lock
         word = reg._word
         word.fetch_or(_WRITER_BIT)
-        self.rmw_ops += 1
         try:
             step = 0
             while word.load() & _READER_COUNT_MASK:
@@ -371,8 +362,11 @@ class RwlockWriter:
             reg._view[:size] = data
             reg._size = size
         finally:
-            # A source the copy rejects raises before any byte moves; the
-            # writer bit must still drop, or every reader spins forever.
+            # Whatever interrupts the wait or the copy, the writer bit must
+            # drop, or every reader spins forever.
             word.fetch_and(~_WRITER_BIT)
-            self.rmw_ops += 1
         self.writes += 1
+
+    @property
+    def rmw_ops(self) -> int:
+        return 2 * self.writes  # one fetch-or and one fetch-and per write

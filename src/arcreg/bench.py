@@ -24,8 +24,8 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .api import CapacityError, ConfigurationError, RegisterKind, RF_MAX_READERS
-from .api import decode_versioned, encode_versioned
+from .api import CapacityError, ConfigurationError, MIN_VERSIONED_SIZE, RegisterKind
+from .api import RF_MAX_READERS, decode_versioned, encode_versioned
 from .arc import ArcRegister
 from .baselines import PetersonRegister, RfRegister, RwlockRegister
 from .history import History, Recorder, check_history
@@ -43,9 +43,8 @@ class BenchConfig:
     """One workload configuration.
 
     ``min_ops`` keeps the run going past ``duration`` until the operation
-    floor is met. ``writer_enabled=False`` pauses the writer (debug flag
-    for read-path experiments). ``switch_interval`` temporarily overrides
-    the interpreter's thread switch interval to force finer interleaving.
+    floor is met. ``switch_interval`` temporarily overrides the
+    interpreter's thread switch interval to force finer interleaving.
     ``history_out`` names a file that a verified run saves its merged
     history to, before checking it, for ``History.load``.
     """
@@ -57,9 +56,7 @@ class BenchConfig:
     mode: str = "hold"
     verify: bool = False
     seed: int = 0
-    pin: bool = False
     min_ops: int = 0
-    writer_enabled: bool = True
     switch_interval: float | None = None
     history_out: str | os.PathLike | None = None
 
@@ -68,8 +65,10 @@ class BenchConfig:
             self.algo = RegisterKind.parse(self.algo)
         if self.readers < 1:
             raise ConfigurationError(f"need at least one reader, got {self.readers}")
-        if self.size < 8:
-            raise ConfigurationError(f"size must be at least 8 bytes, got {self.size}")
+        if self.size < MIN_VERSIONED_SIZE:
+            raise ConfigurationError(
+                f"size must be at least {MIN_VERSIONED_SIZE} bytes, got {self.size}"
+            )
         if self.mode not in ("hold", "work"):
             raise ConfigurationError(f"mode must be 'hold' or 'work', got {self.mode!r}")
         if self.duration <= 0:
@@ -136,17 +135,8 @@ class _RunControl:
         self.errors: list[BaseException] = []
 
 
-def _pin_current_thread(slot: int) -> None:
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    cpus = sorted(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
-
-
-def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) -> None:
+def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
     try:
-        if cfg.pin:
-            _pin_current_thread(slot)
         read = handle.read
         record = recorder.record_read if recorder is not None else None
         barrier.wait()
@@ -177,10 +167,8 @@ def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) ->
         handle.finish()
 
 
-def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder, slot: int) -> None:
+def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
     try:
-        if cfg.pin:
-            _pin_current_thread(slot)
         rng = random.Random(cfg.seed)
         template = bytearray(rng.randbytes(cfg.size))
         template[0:8] = (0).to_bytes(8, "little")
@@ -224,23 +212,19 @@ def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
 
     writer_handle = register.writer()
     reader_handles = [register.new_reader() for _ in range(cfg.readers)]
-    threads = []
-    if cfg.writer_enabled:
-        threads.append(
-            threading.Thread(
-                target=_writer_loop,
-                args=(ctl, barrier, writer_handle, cfg, recorders[0], 0),
-                name="bench-writer",
-                daemon=True,
-            )
+    threads = [
+        threading.Thread(
+            target=_writer_loop,
+            args=(ctl, barrier, writer_handle, cfg, recorders[0]),
+            name="bench-writer",
+            daemon=True,
         )
-    else:
-        barrier = threading.Barrier(n_threads)  # no writer participating
+    ]
     for i, handle in enumerate(reader_handles):
         threads.append(
             threading.Thread(
                 target=_reader_loop,
-                args=(ctl, barrier, handle, cfg, recorders[i + 1], i + 1),
+                args=(ctl, barrier, handle, cfg, recorders[i + 1]),
                 name=f"bench-reader-{i}",
                 daemon=True,
             )
@@ -315,7 +299,6 @@ class MatrixSpec:
     mode: str = "hold"
     verify: bool = False
     seed: int = 0
-    pin: bool = False
     repeat: int = 1
     min_ops: int = 0
 
@@ -359,7 +342,6 @@ _MATRIX_TYPES = {
     "mode": ("a string", lambda v: isinstance(v, str)),
     "verify": ("a boolean", lambda v: isinstance(v, bool)),
     "seed": ("an integer", _is_int),
-    "pin": ("a boolean", lambda v: isinstance(v, bool)),
     "repeat": ("a positive integer", lambda v: _is_int(v) and v > 0),
     "min_ops": ("an integer", _is_int),
 }
@@ -371,26 +353,21 @@ def run_matrix(spec: MatrixSpec, register_factory=make_register) -> list[BenchRe
     results = []
     for algo in spec.algos:
         for readers in spec.readers:
-            if algo is RegisterKind.RF and readers > RF_MAX_READERS:
-                log.warning(
-                    "skipping %s at %d readers: capacity is %d",
-                    algo.name,
-                    readers,
-                    RF_MAX_READERS,
-                )
-                continue
             for size in spec.sizes:
-                cfg = BenchConfig(
-                    algo=algo,
-                    readers=readers,
-                    size=size,
-                    duration=spec.duration,
-                    mode=spec.mode,
-                    verify=spec.verify,
-                    seed=spec.seed,
-                    pin=spec.pin,
-                    min_ops=spec.min_ops,
-                )
+                try:
+                    cfg = BenchConfig(
+                        algo=algo,
+                        readers=readers,
+                        size=size,
+                        duration=spec.duration,
+                        mode=spec.mode,
+                        verify=spec.verify,
+                        seed=spec.seed,
+                        min_ops=spec.min_ops,
+                    )
+                except CapacityError as exc:
+                    log.warning("skipping %s at %d readers: %s", algo.name, readers, exc)
+                    continue
                 results.extend(run_bench(cfg, register_factory) for _ in range(spec.repeat))
     return results
 

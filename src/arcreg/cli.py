@@ -47,15 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="with --verify, save the run's merged history (one run only)",
     )
-    p.add_argument("--pin", action="store_true", help="pin threads round-robin to CPUs")
     p.add_argument("--repeat", type=int, default=1, help="runs per configuration, one row each")
     p.add_argument("--matrix", metavar="FILE", default=None, help="JSON sweep description")
     p.add_argument("--min-ops", type=int, default=0, help="operation floor per run")
-    p.add_argument(
-        "--no-writer",
-        action="store_true",
-        help="debug: run readers only, with the writer paused",
-    )
     return p
 
 
@@ -79,9 +73,7 @@ def main(argv=None) -> int:
                 mode=args.mode,
                 verify=args.verify,
                 seed=args.seed,
-                pin=args.pin,
                 min_ops=args.min_ops,
-                writer_enabled=not args.no_writer,
                 history_out=args.history_out,
             )
             if args.repeat < 1:

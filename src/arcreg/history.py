@@ -239,11 +239,14 @@ class History:
 
 
 def _validate(h: History) -> tuple[np.ndarray, ...]:
-    """Sanity-check the history; return (reads, source, w_inv, w_resp, values).
+    """Sanity-check the history; return its read and write columns.
 
-    ``w_inv`` and ``w_resp`` are the writes' invocation and response
-    columns in invocation order, and ``values`` is ``[INITIAL_SEQ]``
-    followed by their seqs, each gathered once. ``source[i]`` is the
+    The result is ``(reads, source, r_inv, r_resp, r_seq, w_inv, w_resp,
+    values)``, each column gathered once. ``r_inv``, ``r_resp`` and
+    ``r_seq`` are the reads' invocation, response and seq columns in row
+    order. ``w_inv`` and ``w_resp`` are the writes' invocation and
+    response columns in invocation order, and ``values`` is
+    ``[INITIAL_SEQ]`` followed by their seqs. ``source[i]`` is the
     position in ``values`` of the value that read ``reads[i]`` returned:
     0 for the initial value, k for the k-th write.
     """
@@ -280,7 +283,7 @@ def _validate(h: History) -> tuple[np.ndarray, ...]:
     if unknown.any():
         bad = r_seq[unknown][0]
         raise CorruptedHistoryError(f"read returned seq {bad} which no write produced")
-    return reads, source, w_inv, w_resp, values
+    return reads, source, inv[reads], resp[reads], r_seq, w_inv, w_resp, values
 
 
 def _check_threads(h: History) -> None:
@@ -313,21 +316,21 @@ def check_no_past(h: History) -> list[RegularityViolation]:
     when the write producing its value had not been invoked by the time the
     read responded. An empty report means the history is regular.
     """
-    return _no_past(h, *_validate(h))
+    reads, source, r_inv, r_resp, _, *writes = _validate(h)
+    return _no_past(reads, source, r_inv, r_resp, *writes)
 
 
 def _no_past(
-    h: History,
     reads: np.ndarray,
     source: np.ndarray,
+    r_inv: np.ndarray,
+    r_resp: np.ndarray,
     w_inv: np.ndarray,
     w_resp: np.ndarray,
     values: np.ndarray,
 ) -> list[RegularityViolation]:
     if not len(reads):
         return []
-    r_inv = h.invocation[reads]
-    r_resp = h.response[reads]
     # Writes are sequential, so invocation, response and seq order agree.
     # A read is stale iff the write after its source completed before the
     # read began, and future iff its source began after the read ended.
@@ -359,15 +362,19 @@ def check_no_new_old_inversion(h: History) -> list[InversionViolation]:
     read); every read participating as the later element of some violating
     pair appears exactly once.
     """
-    reads, source, *_ = _validate(h)
-    return _inversions(h, reads, source)
+    reads, source, r_inv, r_resp, r_seq, *_ = _validate(h)
+    return _inversions(reads, source, r_inv, r_resp, r_seq)
 
 
-def _inversions(h: History, reads: np.ndarray, source: np.ndarray) -> list[InversionViolation]:
+def _inversions(
+    reads: np.ndarray,
+    source: np.ndarray,
+    r_inv: np.ndarray,
+    r_resp: np.ndarray,
+    r_seq: np.ndarray,
+) -> list[InversionViolation]:
     if len(reads) < 2:
         return []
-    r_inv = h.invocation[reads]
-    r_resp = h.response[reads]
     # first[p]: the earliest response of a read that returned value p.
     # newer[p]: the earliest response of a read that returned a value newer
     # than p. A read is inverted iff such a read responded before it began.
@@ -379,7 +386,6 @@ def _inversions(h: History, reads: np.ndarray, source: np.ndarray) -> list[Inver
         return []
     # Witness: the newest-valued read among those that responded before the
     # later read was invoked, taking the last such read by response.
-    r_seq = h.seq[reads]
     by_resp = np.argsort(r_resp, kind="stable")
     seq_by_resp = r_seq[by_resp]
     prefix_max = np.maximum.accumulate(seq_by_resp)
@@ -419,9 +425,9 @@ class VerificationReport:
 
 def check_history(h: History) -> VerificationReport:
     """Run all checks and bundle the results (validating the history once)."""
-    reads, source, *writes = _validate(h)
+    reads, source, r_inv, r_resp, r_seq, *writes = _validate(h)
     return VerificationReport(
-        no_past=_no_past(h, reads, source, *writes),
-        inversions=_inversions(h, reads, source),
+        no_past=_no_past(reads, source, r_inv, r_resp, *writes),
+        inversions=_inversions(reads, source, r_inv, r_resp, r_seq),
         torn_reads=check_integrity(h),
     )

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from arcreg import ArcRegister, OpRecord, RfRegister, encode_versioned
+from arcreg import ArcRegister, OpRecord, RfRegister, RwlockRegister, encode_versioned
 from arcreg.arc import ArcWriter, COUNTER_MASK, INDEX_SHIFT
 from arcreg.api import InvariantViolation
 from arcreg.atomics import AtomicU64
@@ -308,9 +308,9 @@ class CountingWord(AtomicU64):
 class Meter:
     """Word counts of one instrumented register.
 
-    ``sync`` counts ARC's ``_current`` or RF's ``_status``; ``r_end`` counts
-    ARC's slot release counters, whose loads are W1's probes (W1 is the only
-    step that loads an ``r_end``).
+    ``sync`` counts ARC's ``_current``, RF's ``_status`` or rwlock's
+    ``_word``; ``r_end`` counts ARC's slot release counters, whose loads are
+    W1's probes (W1 is the only step that loads an ``r_end``).
     """
 
     sync: WordCounts = field(default_factory=WordCounts)
@@ -322,7 +322,7 @@ class Meter:
 
 
 def instrument(reg) -> Meter:
-    """Swap counting words in for the atomic words of an ARC or RF register.
+    """Swap counting words in for a register's atomic words (ARC, RF, rwlock).
 
     Call it before any handle is made: an RF reader keeps the status word
     it was made with.
@@ -336,6 +336,8 @@ def instrument(reg) -> Meter:
             slot.r_end = CountingWord(slot.r_end.load(), meter.r_end)
     elif isinstance(reg, RfRegister):
         reg._status = CountingWord(reg._status.load(), meter.sync)
+    elif isinstance(reg, RwlockRegister):
+        reg._word = CountingWord(reg._word.load(), meter.sync)
     else:
         raise TypeError(f"no atomic words to count in {type(reg).__name__}")
     return meter
@@ -357,16 +359,23 @@ def run_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
     ``reg`` holds a version-0 value. The driver makes all ``n_readers``
     reader handles and the writer. Each op is a write with probability
     1/``write_every``, otherwise a read by a uniformly chosen reader; write
-    k stores ``encode_versioned(k, max_size)``.
+    k stores ``encode_versioned(k, max_size)``. A rwlock reader holds its
+    shared lock from one read to the next, so before each write every
+    rwlock reader calls ``finish()``, outside the write's cost.
     """
     readers = [reg.new_reader() for _ in range(reg.n_readers)]
     writer = reg.writer()
+    blocking = isinstance(reg, RwlockRegister)
     seen = [0] * len(readers)
     rng = random.Random(seed)
     costs = []
     for _ in range(ops):
+        write = rng.randrange(write_every) == 0
+        if write and blocking:
+            for reader in readers:
+                reader.finish()
         rmw, probes = meter.rmw, meter.r_end.loads
-        if rng.randrange(write_every) == 0:
+        if write:
             writer.write(encode_versioned(writer.writes + 1, reg.max_size))
             kind, moved = "write", True
         else:

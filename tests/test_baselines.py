@@ -21,6 +21,7 @@ from arcreg import (
     run_bench,
 )
 from arcreg.baselines import _WRITER_BIT
+from support import instrument, run_schedule
 
 ALL_BASELINES = [RfRegister, PetersonRegister, RwlockRegister]
 ALL_REGISTERS = [ArcRegister, *ALL_BASELINES]
@@ -358,6 +359,16 @@ def test_rwlock_uses_rmw_instructions():
     read_rmw, write_rmw = reg.rmw_counters()
     assert read_rmw >= 1
     assert write_rmw >= 2
+
+
+def test_rwlock_rmw_counts_match_the_word():
+    reg = make(RwlockRegister, n_readers=4, max_size=64)
+    meter = instrument(reg)
+    costs = run_schedule(reg, meter, ops=2_000, write_every=3, seed=5)
+    writes = [c.rmw for c in costs if c.kind == "write"]
+    assert len(writes) > 100 and set(writes) == {2}  # one fetch-or, one fetch-and
+    assert sum(writes) == reg.rmw_counters()[1]
+    assert meter.rmw == sum(reg.rmw_counters())  # the readers' tally too
 
 
 # -- stressed history checks ---------------------------------------------------

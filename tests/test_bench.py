@@ -65,17 +65,6 @@ def test_work_mode_records_and_checks():
     assert result.torn_reads == 0
 
 
-def test_writer_disabled_keeps_arc_read_rmw_constant():
-    cfg = BenchConfig(
-        algo=RegisterKind.ARC, readers=2, size=4096, duration=0.3,
-        mode="hold", writer_enabled=False,
-    )
-    result = run_bench(cfg)
-    assert result.writes == 0
-    assert result.reads > 0
-    assert result.read_rmw == 0  # nothing ever transitions off the init slot
-
-
 def test_min_ops_floor_extends_the_run():
     cfg = BenchConfig(
         algo=RegisterKind.ARC, readers=1, size=4096, duration=0.05,
@@ -201,6 +190,7 @@ def test_cli_rejects_bad_config(tmp_path):
     # A malformed matrix file is a bad configuration too, not a failed run.
     malformed = [
         {"algos": ["arc"], "readers": [1], "sizes": [64], "threads": 4},  # unknown key
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "pin": True},  # a removed key
         {"algos": ["arc"], "sizes": [64]},  # missing key
         [{"algos": ["arc"], "readers": [1], "sizes": [64]}],  # not an object
         {"algos": ["arc"], "readers": 1, "sizes": [64]},  # an int, not a list
