@@ -10,6 +10,12 @@ counter value is frozen into the retired slot's ``r_start``; a slot is free
 for reuse exactly when ``r_start == r_end``. With N+2 slots a free slot
 always exists, so neither side ever waits or retries.
 
+A reader keeps the ``(content, size)`` pair of the slot it is bound to, built
+once when it binds, and the fast path (R2) returns that pair. This is exact:
+the writer reuses a slot only once every presence unit on it is released,
+so the slot cannot change while this reader's unit is parked on it, and the
+writer sets ``size`` before the W2 exchange that lets any reader bind.
+
 Step labels used throughout (``I1``, ``R1``..``R5``, ``W1``..``W3``) name
 the individual algorithm steps and are referenced by the tests.
 
@@ -104,14 +110,23 @@ class ArcRegister(Register):
 
 
 class ArcReader:
-    """Per-reader state: the slot this reader is bound to via one unit."""
+    """Per-reader state: the slot this reader is bound to via one unit.
 
-    __slots__ = ("_reg", "reader_id", "last_index", "reads", "rmw_ops")
+    ``_value`` is that slot's ``(content, size)`` pair, built when the reader
+    binds: from slot 0 at construction (I1 parks every reader's first unit
+    there) and at R5 from the slot R4 returned. R2 returns it as is; the
+    slot cannot be reused while the unit is parked on it, and its ``size``
+    was set before the W2 that published it.
+    """
+
+    __slots__ = ("_reg", "reader_id", "last_index", "_value", "reads", "rmw_ops")
 
     def __init__(self, reg: ArcRegister, reader_id: int) -> None:
         self._reg = reg
         self.reader_id = reader_id
         self.last_index = 0  # init-time unit parked on slot 0
+        slot = reg._slots[0]
+        self._value = slot.content, slot.size
         self.reads = 0
         self.rmw_ops = 0
 
@@ -119,24 +134,22 @@ class ArcReader:
         """Return ``(buffer, size)`` of the newest published value.
 
         Wait-free: no loops, no retries. The fast path (value unchanged
-        since this reader's last read) executes zero RMW instructions; the
-        slot-transition path executes exactly two (R3 increment, R4
-        add-and-fetch). The returned buffer stays stable until this
-        handle's next ``read()``.
+        since this reader's last read) executes zero RMW instructions and
+        returns the pair kept since the bind; the slot-transition path
+        executes exactly two (R3 increment, R4 add-and-fetch). The returned
+        buffer stays stable until this handle's next ``read()``.
         """
         reg = self._reg
         self.reads += 1
-        index = reg._current.load() >> INDEX_SHIFT  # R1
-        last = self.last_index
-        if index == last:
-            slot = reg._slots[last]
-            return slot.content, slot.size  # R2: cached, no RMW
-        reg._slots[last].r_end.add_and_fetch(1)  # R3: release
+        if reg._current.load() >> INDEX_SHIFT == self.last_index:  # R1
+            return self._value  # R2: kept pair, no RMW
+        reg._slots[self.last_index].r_end.add_and_fetch(1)  # R3: release
         tmp = reg._current.add_and_fetch(1)  # R4: bind to the newest slot
         self.rmw_ops += 2
-        self.last_index = tmp >> INDEX_SHIFT  # R5
-        slot = reg._slots[self.last_index]
-        return slot.content, slot.size
+        self.last_index = index = tmp >> INDEX_SHIFT  # R5
+        slot = reg._slots[index]
+        self._value = value = slot.content, slot.size
+        return value
 
     def finish(self) -> None:
         """No-op; a parked presence unit is harmless (see module caveat)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -71,8 +72,10 @@ class BenchConfig:
             )
         if self.mode not in ("hold", "work"):
             raise ConfigurationError(f"mode must be 'hold' or 'work', got {self.mode!r}")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < self.duration < math.inf:  # NaN fails too: it would never end
+            raise ConfigurationError(
+                f"duration must be a positive finite number of seconds, got {self.duration!r}"
+            )
         if self.history_out is not None and not self.verify:
             raise ConfigurationError("saving the history needs verify: nothing is recorded")
         if self.algo is RegisterKind.RF and self.readers > RF_MAX_READERS:

@@ -256,19 +256,29 @@ def test_criterion_7_memory_bound():
         rf = RfRegister(b"\x00" * 8, min(n, 58), 64)
         ok = ok and arc.content_buffer_count == n + 2
         ok = ok and rf.content_buffer_count == min(n, 58) + 2
-    # Peterson copies the value on every operation: after a seeded schedule
+    # The same seeded schedule for all three. ARC and RF allocate nothing
+    # after construction; Peterson copies the value on every operation, so
     # it holds one buffer per write and per read on top of the initial one.
+    schedule = dict(ops=2_000, write_every=4, seed=7)
+    arc = ArcRegister(encode_versioned(0, 64), 8, 64)
+    rf = RfRegister(encode_versioned(0, 64), 8, 64)
+    for reg in (arc, rf):
+        run_schedule(reg, Meter(), **schedule)
+    ops_ok = arc.content_buffer_count == rf.content_buffer_count == 8 + 2
     peterson = PetersonRegister(encode_versioned(0, 64), 8, 64)
-    costs = run_schedule(peterson, Meter(), ops=2_000, write_every=4, seed=7)
+    costs = run_schedule(peterson, Meter(), **schedule)
     writes = sum(c.kind == "write" for c in costs)
     peterson_ok = writes > 0 and peterson.content_buffer_count == 1 + len(costs)
     _verdict(
         7,
-        ok and peterson_ok,
-        f"exactly N+2 content buffers for ARC and RF; Peterson "
-        f"{peterson.content_buffer_count} = 1 + {writes} writes + {len(costs) - writes} reads",
+        ok and ops_ok and peterson_ok,
+        f"exactly N+2 content buffers for ARC and RF, also after {len(costs)} "
+        f"operations (ARC {arc.content_buffer_count}, RF {rf.content_buffer_count}); "
+        f"Peterson {peterson.content_buffer_count} = 1 + {writes} writes + "
+        f"{len(costs) - writes} reads",
     )
     assert ok
+    assert ops_ok
     assert peterson_ok
 
 

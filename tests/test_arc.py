@@ -114,6 +114,49 @@ def test_repeat_reads_hit_cache_and_leave_counter_alone():
     assert reg.rmw_counters() == (0, 0)
 
 
+def test_fast_path_returns_the_kept_pair_with_zero_rmw():
+    reg = make()
+    meter = instrument(reg)
+    reader = reg.new_reader()
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 4096))
+    first = reader.read()  # slot transition: binds and builds the pair
+    before = meter.rmw
+    second = reader.read()
+    assert second is first  # R2 returns the pair kept at R5
+    assert meter.rmw == before
+
+
+def test_transition_read_keeps_the_new_slots_size_and_buffer():
+    reg = make(max_size=4096)
+    reader = reg.new_reader()
+    writer = reg.writer()
+    for size in (100, 200):
+        writer.write(encode_versioned(size, size))
+        slot = reg._slots[writer.last_slot]
+        buf, got = reader.read()
+        assert got == size
+        assert buf is slot.content
+        assert decode_versioned(buf, got) == (size, True)
+        assert reader.read() == (slot.content, size)  # the kept pair
+
+
+def test_reader_made_after_writes_leaves_slot_0s_pair():
+    # I1 parks every reader's first unit on slot 0, so a reader made after
+    # three writes starts bound there, with slot 0's pair. Its first read
+    # must take the transition path and return the newest value.
+    reg = make(n_readers=2)
+    writer = reg.writer()
+    for seq in (1, 2, 3):
+        writer.write(encode_versioned(seq, 4096))
+    reader = reg.new_reader()
+    assert reader.last_index == 0
+    buf, size = reader.read()
+    assert buf is reg._slots[writer.last_slot].content
+    assert decode_versioned(buf, size) == (3, True)
+    assert reg._slots[0].r_end.load() == 1  # R3 released the init slot
+
+
 def test_transition_read_releases_old_slot_and_binds_new():
     reg = make(n_readers=2)
     reader = reg.new_reader()

@@ -218,6 +218,20 @@ def test_cli_rejects_bad_config(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
+def test_duration_must_be_positive_and_finite(duration, tmp_path):
+    # A NaN or infinite duration never reaches the run's deadline; it is
+    # refused before any thread starts.
+    with pytest.raises(ConfigurationError, match="duration"):
+        BenchConfig(algo=RegisterKind.ARC, readers=1, size=64, duration=duration)
+    assert cli_main(["--algo", "arc", "--readers", "1", "--duration", str(duration)]) == 2
+    # json.dump writes NaN and Infinity, and json.load parses them back.
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"algos": ["arc"], "readers": [1], "sizes": [64],
+                                "duration": duration}))
+    assert cli_main(["--matrix", str(path)]) == 2
+
+
 def test_cli_matrix_mode(tmp_path):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({
