@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import enum
 
-# Capacity limits. The anonymous-counting register packs a 32-bit presence
-# counter, so at most 2**32 - 2 readers; the readers-field baseline stores
-# one presence bit per reader in a 64-bit status word next to a buffer
-# index, which caps it at 58 readers.
-ARC_MAX_READERS = 2**32 - 2
+# Capacity limits. The anonymous-counting register packs a slot index and a
+# presence counter into one 64-bit word, each ARC_FIELD_BITS wide. N readers
+# need N+2 slots, so the index field must hold N+1, and the counter N: the
+# index field binds, at N = 2**ARC_FIELD_BITS - 2. The readers-field
+# baseline stores one presence bit per reader in a 64-bit status word next
+# to a buffer index, which caps it at 58 readers.
+ARC_FIELD_BITS = 32
+ARC_MAX_READERS = 2**ARC_FIELD_BITS - 2
 RF_MAX_READERS = 58
 
 #: Smallest payload the versioned encoding supports: one full sequence word.

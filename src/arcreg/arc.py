@@ -35,6 +35,7 @@ a free slot.
 from __future__ import annotations
 
 from .api import (
+    ARC_FIELD_BITS,
     ARC_MAX_READERS,
     CapacityError,
     InvariantViolation,
@@ -42,8 +43,8 @@ from .api import (
 )
 from .atomics import AtomicU64
 
-INDEX_SHIFT = 32
-COUNTER_MASK = (1 << 32) - 1
+INDEX_SHIFT = ARC_FIELD_BITS
+COUNTER_MASK = (1 << ARC_FIELD_BITS) - 1
 
 
 def pack(index: int, counter: int) -> int:

@@ -64,6 +64,14 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if isinstance(self.algo, str):
             self.algo = RegisterKind.parse(self.algo)
+        for name in ("readers", "size", "seed", "min_ops"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.verify, bool):
+            raise ConfigurationError(f"verify must be a boolean, got {self.verify!r}")
+        if self.min_ops < 0:
+            raise ConfigurationError(f"min_ops must not be negative, got {self.min_ops}")
         if self.readers < 1:
             raise ConfigurationError(f"need at least one reader, got {self.readers}")
         if self.size < MIN_VERSIONED_SIZE:

@@ -24,25 +24,32 @@ Recording is per-thread and contention-free: each operation is one packed
 ``array('q')``. Merging and checking happen single-threaded after the run.
 
 Checking costs a few linear passes over the rows; a history merged from
-recorders, with no inverted read, is checked without any sort:
+recorders, with no inverted read, is checked without any sort, and reads
+its columns in place:
 
-* validation: the read and write index lists also prove that every row is
-  one or the other. Writes, which one writer records in invocation order,
-  are sorted only when they arrive otherwise, and their columns are
-  gathered once for validation and the regularity check. Threads are
-  checked for overlapping records by comparing neighbouring rows, once
-  every thread is seen to form one contiguous run, as
-  ``History.from_recorders`` yields them; any other row order (a shuffled
-  or time-sorted file) takes one ``lexsort`` by (thread, invocation) first.
+* validation: ``run_bench`` and the benchmark harness give the writer's
+  recorder first, so a merged history holds all its writes, then all its
+  reads. One count of the writes and one pass over each block prove that,
+  and every read and write column is then a view of the history's column.
+  Any other row order (a shuffled or time-sorted file, a writer that reads
+  between its writes) takes a read and a write index list, which also
+  prove that every row is one or the other, and gathers each column once.
+  Writes, which one writer records in invocation order, are sorted only
+  when they arrive otherwise. Threads are checked for overlapping records
+  by comparing neighbouring rows, once every thread is seen to form one
+  contiguous run, as ``History.from_recorders`` yields them; any other row
+  order takes one ``lexsort`` by (thread, invocation) first.
 * each read is mapped once to the position of the write it returned, which
   is also the check that some write produced its seq: the seq is the
-  position when the writes carry seqs 1, 2, ..., W, and one binary search
-  among the writes finds it otherwise.
+  position when the writes carry seqs 1, 2, ..., W, checked by one minimum
+  and one maximum, and one binary search among the writes finds it
+  otherwise.
 * regularity: two gathers per read; the witness search runs only for the
   violating reads.
 * atomicity: a scatter-min of each read's response onto its value, then one
   gather per read. The stable sort of the reads by response that names the
   witnesses runs only when some read is inverted.
+* integrity: one count over the reads' intact column.
 """
 
 from __future__ import annotations
@@ -238,52 +245,72 @@ class History:
             return cls.from_lines(fh)
 
 
-def _validate(h: History) -> tuple[np.ndarray, ...]:
+def _rows(column: np.ndarray, rows) -> np.ndarray:
+    """``column`` at ``rows``: a view when ``rows`` is a range, else a gather."""
+    if isinstance(rows, range):
+        return column[rows.start : rows.stop]
+    return column[rows]
+
+
+def _validate(h: History) -> tuple:
     """Sanity-check the history; return its read and write columns.
 
     The result is ``(reads, source, r_inv, r_resp, r_seq, w_inv, w_resp,
-    values)``, each column gathered once. ``r_inv``, ``r_resp`` and
+    values)``. ``reads`` holds the read row numbers: a ``range`` when the
+    reads form one block, else an index array. ``r_inv``, ``r_resp`` and
     ``r_seq`` are the reads' invocation, response and seq columns in row
     order. ``w_inv`` and ``w_resp`` are the writes' invocation and
     response columns in invocation order, and ``values`` is
     ``[INITIAL_SEQ]`` followed by their seqs. ``source[i]`` is the
     position in ``values`` of the value that read ``reads[i]`` returned:
-    0 for the initial value, k for the k-th write.
+    0 for the initial value, k for the k-th write. The columns of a block
+    of rows are views, the others are gathered once.
     """
-    inv, resp = h.invocation, h.response
+    inv, resp, seq, kind = h.invocation, h.response, h.seq, h.kind
     if len(h) and (inv > resp).any():
         raise CorruptedHistoryError("operation with invocation after response")
-    writes = np.flatnonzero(h.kind == KIND_WRITE)
-    reads = np.flatnonzero(h.kind == KIND_READ)
-    if len(reads) + len(writes) != len(h):
-        bad = h.kind[(h.kind != KIND_READ) & (h.kind != KIND_WRITE)][0]
-        raise CorruptedHistoryError(f"operation kind {bad} is neither read nor write")
-    w_inv = inv[writes]
+    # A merged run lists the writer's recorder first: its writes, then
+    # every read. KIND_READ is 0, so the nonzero kinds are the writes and
+    # any unknown kind; the two blocks hold iff those lead the rows and are
+    # all writes.
+    n_writes = np.count_nonzero(kind)
+    if not np.count_nonzero(kind[n_writes:]) and (kind[:n_writes] == KIND_WRITE).all():
+        writes, reads = range(n_writes), range(n_writes, len(h))
+    else:
+        writes = np.flatnonzero(kind == KIND_WRITE)
+        reads = np.flatnonzero(kind == KIND_READ)
+        if len(reads) + len(writes) != len(h):
+            bad = kind[(kind != KIND_READ) & (kind != KIND_WRITE)][0]
+            raise CorruptedHistoryError(f"operation kind {bad} is neither read nor write")
+    w_inv, w_resp, w_seq = _rows(inv, writes), _rows(resp, writes), _rows(seq, writes)
     # One writer records its writes in invocation order; sort only
     # histories that arrive otherwise.
-    if (np.diff(w_inv) < 0).any():
+    if (w_inv[1:] < w_inv[:-1]).any():
         order = np.argsort(w_inv, kind="stable")
-        writes, w_inv = writes[order], w_inv[order]
-    w_resp = resp[writes]
-    values = np.concatenate(([INITIAL_SEQ], h.seq[writes]))
-    if (np.diff(values[1:]) <= 0).any():
+        w_inv, w_resp, w_seq = w_inv[order], w_resp[order], w_seq[order]
+    values = np.concatenate(([INITIAL_SEQ], w_seq))
+    if (w_seq[1:] <= w_seq[:-1]).any():
         raise CorruptedHistoryError("write sequence numbers are not strictly increasing")
-    if len(writes) and values[1] <= INITIAL_SEQ:  # the smallest seq, once they increase
+    if len(w_seq) and w_seq[0] <= INITIAL_SEQ:  # the smallest seq, once they increase
         raise CorruptedHistoryError("write sequence number collides with the initial value")
     if (w_inv[1:] < w_resp[:-1]).any():
         raise CorruptedHistoryError("writes overlap; single-writer history expected")
     _check_threads(h)
-    r_seq = h.seq[reads]
-    if values[-1] == len(writes):  # values are 0, 1, .., W: each seq is its position
+    r_seq = _rows(seq, reads)
+    if values[-1] == len(w_seq):  # values are 0, 1, .., W: each seq is its position
         source = r_seq
-        unknown = (r_seq < INITIAL_SEQ) | (r_seq > values[-1])
+        # Two reductions; the mask that names the culprit only on failure.
+        known = not len(r_seq) or INITIAL_SEQ <= r_seq.min() and r_seq.max() <= values[-1]
+        if not known:
+            unknown = (r_seq < INITIAL_SEQ) | (r_seq > values[-1])
     else:
         source = np.searchsorted(values, r_seq)
-        unknown = values[np.minimum(source, len(writes))] != r_seq
-    if unknown.any():
+        unknown = values[np.minimum(source, len(w_seq))] != r_seq
+        known = not unknown.any()
+    if not known:
         bad = r_seq[unknown][0]
         raise CorruptedHistoryError(f"read returned seq {bad} which no write produced")
-    return reads, source, inv[reads], resp[reads], r_seq, w_inv, w_resp, values
+    return reads, source, _rows(inv, reads), _rows(resp, reads), r_seq, w_inv, w_resp, values
 
 
 def _check_threads(h: History) -> None:
@@ -321,7 +348,7 @@ def check_no_past(h: History) -> list[RegularityViolation]:
 
 
 def _no_past(
-    reads: np.ndarray,
+    reads: range | np.ndarray,
     source: np.ndarray,
     r_inv: np.ndarray,
     r_resp: np.ndarray,
@@ -367,7 +394,7 @@ def check_no_new_old_inversion(h: History) -> list[InversionViolation]:
 
 
 def _inversions(
-    reads: np.ndarray,
+    reads: range | np.ndarray,
     source: np.ndarray,
     r_inv: np.ndarray,
     r_resp: np.ndarray,
@@ -429,5 +456,5 @@ def check_history(h: History) -> VerificationReport:
     return VerificationReport(
         no_past=_no_past(reads, source, r_inv, r_resp, *writes),
         inversions=_inversions(reads, source, r_inv, r_resp, r_seq),
-        torn_reads=check_integrity(h),
+        torn_reads=len(reads) - int(np.count_nonzero(_rows(h.intact, reads))),
     )

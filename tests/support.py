@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -270,6 +270,33 @@ class WordCounts:
         self.loads = 0
 
 
+class NarrowWord(AtomicU64):
+    """An ``AtomicU64`` that wraps at ``bits`` bits, as a narrower word would.
+
+    Set ARC's ``arc.INDEX_SHIFT`` to k and ``arc.COUNTER_MASK`` to 2**k - 1,
+    and swap this word, at 2k bits, in for ``_current``: ARC's reader cap
+    then shows at a width a test can run N = 2**k - 1 readers at. Plain
+    attribute updates, exact when one thread drives the register.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, value: int, bits: int) -> None:
+        self.mask = (1 << bits) - 1
+        super().__init__(value & self.mask)
+
+    def store(self, value: int) -> None:
+        self._value = value & self.mask
+
+    def add_and_fetch(self, delta: int) -> int:
+        self._value = new = (self._value + delta) & self.mask
+        return new
+
+    def exchange(self, value: int) -> int:
+        old, self._value = self._value, value & self.mask
+        return old
+
+
 class CountingWord(AtomicU64):
     """An ``AtomicU64`` that tallies its RMWs and plain loads into ``counts``.
 
@@ -350,6 +377,7 @@ class OpCost(NamedTuple):
     rmw: int  # RMWs on every instrumented word
     probes: int  # r_end loads: W1 probes (always 0 for RF and for reads)
     moved: bool  # a read returned a newer value than its reader's last read
+    seq: int  # the version written, or the version the read returned
 
 
 def run_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
@@ -363,12 +391,18 @@ def run_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
     shared lock from one read to the next, so before each write every
     rwlock reader calls ``finish()``, outside the write's cost.
     """
+    return list(iter_schedule(reg, meter, ops, write_every, seed))
+
+
+def iter_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
+                  seed: int = 9) -> Iterator[OpCost]:
+    """``run_schedule`` one op at a time: a caller keeps the ops that
+    completed before one raised."""
     readers = [reg.new_reader() for _ in range(reg.n_readers)]
     writer = reg.writer()
     blocking = isinstance(reg, RwlockRegister)
     seen = [0] * len(readers)
     rng = random.Random(seed)
-    costs = []
     for _ in range(ops):
         write = rng.randrange(write_every) == 0
         if write and blocking:
@@ -376,7 +410,8 @@ def run_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
                 reader.finish()
         rmw, probes = meter.rmw, meter.r_end.loads
         if write:
-            writer.write(encode_versioned(writer.writes + 1, reg.max_size))
+            seq = writer.writes + 1
+            writer.write(encode_versioned(seq, reg.max_size))
             kind, moved = "write", True
         else:
             i = rng.randrange(len(readers))
@@ -384,8 +419,24 @@ def run_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
             seq = int.from_bytes(buf[:8], "little")
             kind, moved = "read", seq != seen[i]
             seen[i] = seq
-        costs.append(OpCost(kind, meter.rmw - rmw, meter.r_end.loads - probes, moved))
-    return costs
+        yield OpCost(kind, meter.rmw - rmw, meter.r_end.loads - probes, moved, seq)
+
+
+def schedule_history(costs: list[OpCost]) -> History:
+    """The history of a schedule's ops: one op per tick, in schedule order.
+
+    The writer is thread 0 and every read is thread 1; each op responds
+    before the next is invoked, so the history is atomic iff every read
+    returns the newest write's version.
+    """
+    return History(
+        [0 if c.kind == "write" else 1 for c in costs],
+        [KIND_WRITE if c.kind == "write" else KIND_READ for c in costs],
+        range(0, 2 * len(costs), 2),
+        range(1, 2 * len(costs), 2),
+        [c.seq for c in costs],
+        [1] * len(costs),
+    )
 
 
 # -- ARC's accounting checks --------------------------------------------------

@@ -7,15 +7,27 @@ write step sequences (R1..R5, W1..W3, I1) by hand from the initial state.
 import pytest
 
 from arcreg import (
+    ARC_MAX_READERS,
     ArcRegister,
     CapacityError,
     InvariantViolation,
+    arc,
+    check_history,
     decode_versioned,
     encode_versioned,
     pack,
     unpack,
 )
-from support import CheckedArcRegister, instrument, run_schedule
+from arcreg.api import ARC_FIELD_BITS
+from support import (
+    CheckedArcRegister,
+    Meter,
+    NarrowWord,
+    instrument,
+    iter_schedule,
+    run_schedule,
+    schedule_history,
+)
 
 
 def make(n_readers=2, max_size=4096, initial_seq=0):
@@ -92,6 +104,32 @@ def test_single_writer_handle():
 def test_reader_count_bounds(n):
     with pytest.raises(CapacityError):
         ArcRegister(b"\x00" * 8, n, 64)
+
+
+def _stale_reads(n_readers: int, k: int, monkeypatch) -> int:
+    """Stale reads in a seeded schedule of ARC with k-bit fields in a 2k-bit word."""
+    monkeypatch.setattr(arc, "INDEX_SHIFT", k)
+    monkeypatch.setattr(arc, "COUNTER_MASK", (1 << k) - 1)
+    reg = ArcRegister(encode_versioned(0, 64), n_readers, 64)
+    reg._current = NarrowWord(reg._current.load(), 2 * k)
+    costs = []
+    try:
+        costs.extend(iter_schedule(reg, Meter(), ops=20_000, write_every=3))
+    except InvariantViolation:
+        assert n_readers > 2**k - 2  # W1 may find no free slot once the index wrapped
+    report = check_history(schedule_history(costs))
+    assert all(v.flavor == "stale-read" for v in report.no_past)
+    return len(report.no_past)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_reader_cap_is_where_the_index_field_overflows(k, monkeypatch):
+    # N readers use N+2 slots, so the k-bit index field must hold N+1: the
+    # cap is 2**k - 2. One reader more, and the write that picks slot 2**k
+    # publishes slot 0, whose old value the next transition read returns.
+    assert ARC_MAX_READERS == 2**ARC_FIELD_BITS - 2
+    assert _stale_reads(2**k - 2, k, monkeypatch) == 0
+    assert _stale_reads(2**k - 1, k, monkeypatch) > 0
 
 
 def test_construction_far_above_identified_reader_limits():

@@ -38,9 +38,10 @@ def test_smoke_hold_run_with_verification():
 
 def test_arc_runs_far_above_the_identified_reader_cap():
     # 129 threads oversubscribe the host; completing the run is the point.
-    # Writer progress under oversubscription is covered by the acceptance
-    # suite's floor-driven 128-reader run; in a short smoke run the GIL
-    # scheduler may legitimately never rotate to the writer.
+    # Nothing gates writer progress at 128 readers: the acceptance suite's
+    # 128-reader run (criterion 6) floors the total operations, which reads
+    # alone can meet. In a run this short the writer may make no write,
+    # since the start barrier can release it after the run has ended.
     cfg = BenchConfig(
         algo=RegisterKind.ARC, readers=128, size=4096, duration=1.2,
         mode="hold", switch_interval=0.0005,
@@ -229,6 +230,27 @@ def test_duration_must_be_positive_and_finite(duration, tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"algos": ["arc"], "readers": [1], "sizes": [64],
                                 "duration": duration}))
+    assert cli_main(["--matrix", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("verify", "no"), ("verify", 1), ("readers", 2.5), ("readers", True), ("size", 4096.0),
+    ("seed", 1.5), ("seed", None), ("min_ops", -3),
+])
+def test_config_fields_are_type_checked(field, value):
+    # verify="no" is truthy and would turn verification on; a bool is an int
+    # to Python; a float reader count would fail only when the register is
+    # built, with a TypeError.
+    config = dict(algo=RegisterKind.ARC, readers=2, size=64, duration=0.1)
+    with pytest.raises(ConfigurationError, match=field):
+        BenchConfig(**{**config, field: value})
+
+
+def test_negative_operation_floor_is_refused(tmp_path):
+    argv = ["--algo", "arc", "--readers", "1", "--duration", "0.1", "--min-ops", "-3"]
+    assert cli_main(argv) == 2
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"algos": ["arc"], "readers": [1], "sizes": [64], "min_ops": -3}))
     assert cli_main(["--matrix", str(path)]) == 2
 
 

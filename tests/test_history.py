@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import arcreg.history as history
 from arcreg import (
     CorruptedHistoryError,
     History,
@@ -149,8 +150,6 @@ def test_unknown_kind_code_is_corrupted_history():
 
 
 def test_check_history_validates_once_and_agrees_with_the_public_checkers(monkeypatch):
-    import arcreg.history as history
-
     h = H(
         OpRecord(0, "write", 0, 1, 1),
         OpRecord(0, "write", 2, 3, 2),
@@ -241,6 +240,50 @@ def test_rejected_row_leaves_recorder_whole():
     assert History.from_recorders([rec]).records() == [OpRecord(3, "read", 3, 4, 1, True)]
 
 
+def _permuted(h: History, perm) -> History:
+    """``h`` with row ``perm[i]`` as its row ``i``."""
+    return History(*(getattr(h, column)[perm] for column in History.__slots__))
+
+
+def _merged_history() -> History:
+    """Writer, then two readers, merged as a run merges them; one read of each
+    kind of violation: stale, future, inverted and torn."""
+    writer, r1, r2 = Recorder(0), Recorder(1), Recorder(2)
+    for seq in range(1, 5):
+        writer.record_write(10 * seq, 10 * seq + 5, seq)
+    r1.record_read(0, 1, 0, True)
+    r1.record_read(16, 18, 1, True)
+    r1.record_read(26, 27, 2, True)
+    r1.record_read(36, 37, 1, True)  # stale, and inverted against the read before
+    r2.record_read(2, 3, 2, True)  # future
+    r2.record_read(45, 46, 4, False)  # torn
+    return History.from_recorders([writer, r1, r2])
+
+
+def test_merged_history_is_checked_through_views():
+    h = _merged_history()
+    reads, source, r_inv, r_resp, r_seq, w_inv, w_resp, values = history._validate(h)
+    assert reads == range(4, 10)
+    for view, column in ((r_inv, h.invocation), (r_resp, h.response), (r_seq, h.seq),
+                         (source, h.seq), (w_inv, h.invocation), (w_resp, h.response)):
+        assert np.shares_memory(view, column)
+    report = check_history(h)
+    assert report == reference_check_history(h)
+    assert _verdicts(report) == ["stale-read", "future-read", "inverted", "torn"]
+
+
+def test_read_moved_into_the_write_block_is_gathered():
+    h = _merged_history()
+    perm = np.array([0, 1, 7, 2, 3, 4, 5, 6, 8, 9])  # r1's last read between two writes
+    moved = _permuted(h, perm)
+    reads, *_, values = history._validate(moved)
+    assert isinstance(reads, np.ndarray) and list(reads) == [2, 5, 6, 7, 8, 9]
+    assert list(values) == [0, 1, 2, 3, 4]
+    report = check_history(moved)
+    assert report == reference_check_history(moved)
+    assert _by_row(report, moved, perm) == _by_row(check_history(h), h, range(len(h)))
+
+
 def test_export_import_round_trip(tmp_path):
     h = H(
         OpRecord(0, "write", 0, 1, 1),
@@ -316,12 +359,36 @@ def _verdicts(outcome) -> list[str]:
     return verdicts or ["valid"]
 
 
+def _by_row(outcome, h: History, row_of) -> object:
+    """``outcome`` in the row numbers ``row_of`` maps ``h``'s rows to, order-free.
+
+    An inversion's earlier read is named by its response instead: when two
+    reads with the newest value respond at once, the witness is the later
+    one in row order.
+    """
+    if isinstance(outcome, str):
+        return outcome
+    no_past = sorted((int(row_of[v.read_index]), v.read_seq, v.witness_seq, v.flavor)
+                     for v in outcome.no_past)
+    inversions = sorted((int(h.response[v.first_read_index]), v.first_seq,
+                         int(row_of[v.second_read_index]), v.second_seq)
+                        for v in outcome.inversions)
+    return no_past, inversions, outcome.torn_reads
+
+
 def test_checker_matches_reference_checker_on_random_histories():
     # Differential test against the reference checker: the same reports,
     # witnesses and order included, and the same error messages, for rows
     # grouped as recorders give them, shuffled, and sorted by invocation.
+    # Each history's grouped rows, which the checker reads in place, must
+    # also give the report of the same rows permuted, which it gathers.
+    # Errors are left out of that comparison: the first check to fail names
+    # the error, and row order can change which fails first. Ties between
+    # equal invocations order a thread's rows, or the writes, by row order,
+    # so a permuted valid history may even be refused.
     rng = random.Random(12)
     seen = Counter()
+    compared = 0
     for i in range(20_000):
         corruption = CORRUPTIONS[i // 4 % len(CORRUPTIONS)] if i % 4 == 0 else None
         rows = random_raw_history(rng, corruption)
@@ -332,6 +399,17 @@ def test_checker_matches_reference_checker_on_random_histories():
             assert check_no_past(h) == want.no_past, rows
             assert check_no_new_old_inversion(h) == want.inversions, rows
         seen.update(_verdicts(want))
+        grouped = arrange_rows(rows, "grouped", rng)
+        perm = np.random.default_rng(i).permutation(len(rows))
+        permuted = _permuted(grouped, perm)
+        if corruption is None:
+            assert isinstance(history._validate(grouped)[0], range), rows
+        got = _by_row(_outcome(check_history, permuted), permuted, perm)
+        expected = _by_row(_outcome(check_history, grouped), grouped, range(len(rows)))
+        if not isinstance(got, str) and not isinstance(expected, str):
+            assert got == expected, rows
+            compared += 1
+    assert compared >= 10_000
     for verdict in ("valid", "stale-read", "future-read", "inverted", "torn") + _CORRUPT_KINDS:
         assert seen[verdict] >= 100, seen
 
