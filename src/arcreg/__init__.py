@@ -26,11 +26,10 @@ from .bench import (
     BenchConfig,
     BenchResult,
     CSV_HEADER,
-    MatrixSpec,
     emit_csv,
+    load_sweep,
     make_register,
     run_bench,
-    run_matrix,
 )
 from .history import (
     CorruptedHistoryError,
@@ -62,7 +61,6 @@ __all__ = [
     "InvariantViolation",
     "InversionViolation",
     "MIN_VERSIONED_SIZE",
-    "MatrixSpec",
     "OpRecord",
     "PetersonRegister",
     "RF_MAX_READERS",
@@ -80,10 +78,10 @@ __all__ = [
     "decode_versioned",
     "emit_csv",
     "encode_versioned",
+    "load_sweep",
     "make_register",
     "pack",
     "run_bench",
-    "run_matrix",
     "unpack",
 ]
 

@@ -26,11 +26,14 @@ import enum
 # presence counter into one 64-bit word, each ARC_FIELD_BITS wide. N readers
 # need N+2 slots, so the index field must hold N+1, and the counter N: the
 # index field binds, at N = 2**ARC_FIELD_BITS - 2. The readers-field
-# baseline stores one presence bit per reader in a 64-bit status word next
-# to a buffer index, which caps it at 58 readers.
+# baseline stores one presence bit per reader in a 64-bit status word below
+# an RF_INDEX_BITS-wide buffer index. Its N+2 buffers need the index to hold
+# N+1, which 6 bits do up to N = 62, so the presence bits bind first, at
+# N = 64 - RF_INDEX_BITS: one reader more sets the index's lowest bit.
 ARC_FIELD_BITS = 32
 ARC_MAX_READERS = 2**ARC_FIELD_BITS - 2
-RF_MAX_READERS = 58
+RF_INDEX_BITS = 6
+RF_MAX_READERS = 64 - RF_INDEX_BITS
 
 #: Smallest payload the versioned encoding supports: one full sequence word.
 MIN_VERSIONED_SIZE = 8

@@ -16,6 +16,7 @@ from .api import (
     CapacityError,
     InvariantViolation,
     Register,
+    RF_INDEX_BITS,
     RF_MAX_READERS,
 )
 from .atomics import AtomicU64
@@ -34,7 +35,7 @@ class _Buffer:
 # Readers-field register
 # ---------------------------------------------------------------------------
 
-_RF_INDEX_SHIFT = 58
+_RF_INDEX_SHIFT = 64 - RF_INDEX_BITS
 
 
 class RfRegister(Register):
@@ -69,7 +70,8 @@ class RfRegister(Register):
         self._buffers = [_Buffer(*self._new_content_buffer()) for _ in range(n_readers + 2)]
         self._buffers[0].view[:size] = initial
         self._buffers[0].size = size
-        # status = index << 58 | presence bits; buffer 0 current, no readers.
+        # status = index << _RF_INDEX_SHIFT | presence bits; buffer 0 current,
+        # no readers.
         self._status = AtomicU64(0)
 
     def _make_reader(self, reader_id: int) -> "RfReader":

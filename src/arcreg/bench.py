@@ -10,11 +10,13 @@ operations are recorded and the history checks run before results are
 reported.
 
 Runs are duration-based with an optional minimum-operations floor: the run
-continues until the duration has elapsed and the floor is met.
+continues until the duration has elapsed and the floor is met. A sweep is a
+list of configs, one per run: ``load_sweep`` reads it from a matrix file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -41,19 +43,21 @@ CSV_HEADER = (
 
 @dataclass
 class BenchConfig:
-    """One workload configuration.
+    """One workload configuration, checked field by field when it is made.
 
     ``min_ops`` keeps the run going past ``duration`` until the operation
     floor is met. ``switch_interval`` temporarily overrides the
     interpreter's thread switch interval to force finer interleaving.
     ``history_out`` names a file that a verified run saves its merged
-    history to, before checking it, for ``History.load``.
+    history to, before checking it, for ``History.load``. A bad field
+    raises ``ConfigurationError``; more readers than ``algo`` admits raise
+    ``CapacityError``.
     """
 
-    algo: RegisterKind
-    readers: int
-    size: int
-    duration: float
+    algo: RegisterKind = RegisterKind.ARC
+    readers: int = 4
+    size: int = 4096
+    duration: float = 1.0
     mode: str = "hold"
     verify: bool = False
     seed: int = 0
@@ -64,12 +68,11 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if isinstance(self.algo, str):
             self.algo = RegisterKind.parse(self.algo)
-        for name in ("readers", "size", "seed", "min_ops"):
+        for name, (types, expected) in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.verify, bool):
-            raise ConfigurationError(f"verify must be a boolean, got {self.verify!r}")
+            # A bool is an int to Python, and JSON true loads as one.
+            if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+                raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
         if self.min_ops < 0:
             raise ConfigurationError(f"min_ops must not be negative, got {self.min_ops}")
         if self.readers < 1:
@@ -84,12 +87,33 @@ class BenchConfig:
             raise ConfigurationError(
                 f"duration must be a positive finite number of seconds, got {self.duration!r}"
             )
+        # sys.setswitchinterval refuses 0 but takes NaN, with which the
+        # interpreter aborts as the run's threads start.
+        if self.switch_interval is not None and not 0 < self.switch_interval < math.inf:
+            raise ConfigurationError(
+                f"switch_interval must be a positive finite number, got {self.switch_interval!r}"
+            )
         if self.history_out is not None and not self.verify:
             raise ConfigurationError("saving the history needs verify: nothing is recorded")
         if self.algo is RegisterKind.RF and self.readers > RF_MAX_READERS:
             raise CapacityError(
                 f"RF admits at most {RF_MAX_READERS} readers, got {self.readers}"
             )
+
+
+# The type each ``BenchConfig`` field must have: (types, description).
+_FIELD_TYPES = {
+    "algo": (RegisterKind, "a register kind"),
+    "readers": (int, "an integer"),
+    "size": (int, "an integer"),
+    "duration": ((int, float), "a number"),
+    "mode": (str, "a string"),
+    "verify": (bool, "a boolean"),
+    "seed": (int, "an integer"),
+    "min_ops": (int, "an integer"),
+    "switch_interval": ((int, float, type(None)), "a number or None"),
+    "history_out": ((str, os.PathLike, type(None)), "a path or None"),
+}
 
 
 @dataclass
@@ -299,88 +323,47 @@ def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
     )
 
 
-@dataclass
-class MatrixSpec:
-    """Cartesian sweep description: algos x reader counts x sizes."""
+def load_sweep(path) -> list[BenchConfig]:
+    """Read a JSON matrix file as the configs of its runs, in run order.
 
-    algos: list[RegisterKind]
-    readers: list[int]
-    sizes: list[int]
-    duration: float = 1.0
-    mode: str = "hold"
-    verify: bool = False
-    seed: int = 0
-    repeat: int = 1
-    min_ops: int = 0
-
-    @classmethod
-    def from_json(cls, path) -> "MatrixSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"matrix file {path} must hold a JSON object")
-        try:  # a missing or unknown key is a TypeError of the constructor
-            spec = cls(**raw)
-        except TypeError as exc:
-            raise ConfigurationError(f"matrix file {path}: {exc}") from None
-        for name, (expected, check) in _MATRIX_TYPES.items():
-            value = getattr(spec, name)
-            if not check(value):
-                raise ConfigurationError(
-                    f"matrix file {path}: {name} must be {expected}, got {value!r}"
-                )
-        spec.algos = [RegisterKind.parse(a) for a in spec.algos]
-        return spec
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int
-
-
-def _is_positive_int_list(value) -> bool:
-    return isinstance(value, list) and value and all(_is_int(v) and v > 0 for v in value)
+    The runs are the product of the axes ``algos``, ``readers`` and
+    ``sizes``, each a non-empty list, and each case runs ``repeat`` times
+    in a row (default 1). The file may also set ``duration``, ``mode``,
+    ``verify``, ``seed`` and ``min_ops`` for every run. Every case is built
+    before any runs, so one bad value refuses the whole file
+    (``ConfigurationError``); a case beyond an algorithm's capacity is
+    skipped with a note.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        settings = json.load(fh)
+    if not isinstance(settings, dict):
+        raise ConfigurationError(f"matrix file {path} must hold a JSON object")
+    axes = [settings.pop(key, None) for key in ("algos", "readers", "sizes")]
+    repeat = settings.pop("repeat", 1)
+    unknown = settings.keys() - {"duration", "mode", "verify", "seed", "min_ops"}
+    if unknown:
+        raise ConfigurationError(f"matrix file {path}: unknown keys {sorted(unknown)}")
+    if not all(isinstance(axis, list) and axis for axis in axes):
+        raise ConfigurationError(
+            f"matrix file {path}: algos, readers and sizes must be non-empty lists"
+        )
+    if isinstance(repeat, bool) or not isinstance(repeat, int) or repeat < 1:
+        raise ConfigurationError(f"matrix file {path}: repeat must be a positive integer")
+    configs = []
+    for algo, readers, size in itertools.product(*axes):
+        try:
+            cfg = BenchConfig(algo, readers, size, **settings)
+        except CapacityError as exc:
+            algo = RegisterKind.parse(algo).name
+            log.warning("skipping %s at %d readers: %s", algo, readers, exc)
+            continue
+        configs += [cfg] * repeat
+    return configs
 
 
-# The JSON type each matrix-file field must have: (description, check).
-_MATRIX_TYPES = {
-    "algos": (
-        "a non-empty list of strings",
-        lambda v: isinstance(v, list) and v and all(isinstance(a, str) for a in v),
-    ),
-    "readers": ("a non-empty list of positive integers", _is_positive_int_list),
-    "sizes": ("a non-empty list of positive integers", _is_positive_int_list),
-    "duration": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "mode": ("a string", lambda v: isinstance(v, str)),
-    "verify": ("a boolean", lambda v: isinstance(v, bool)),
-    "seed": ("an integer", _is_int),
-    "repeat": ("a positive integer", lambda v: _is_int(v) and v > 0),
-    "min_ops": ("an integer", _is_int),
-}
-
-
-def run_matrix(spec: MatrixSpec, register_factory=make_register) -> list[BenchResult]:
-    """Run the sweep, ``spec.repeat`` runs and rows per case; combinations
-    beyond an algorithm's capacity are skipped with a note."""
-    results = []
-    for algo in spec.algos:
-        for readers in spec.readers:
-            for size in spec.sizes:
-                try:
-                    cfg = BenchConfig(
-                        algo=algo,
-                        readers=readers,
-                        size=size,
-                        duration=spec.duration,
-                        mode=spec.mode,
-                        verify=spec.verify,
-                        seed=spec.seed,
-                        min_ops=spec.min_ops,
-                    )
-                except CapacityError as exc:
-                    log.warning("skipping %s at %d readers: %s", algo.name, readers, exc)
-                    continue
-                results.extend(run_bench(cfg, register_factory) for _ in range(spec.repeat))
-    return results
+def csv_text(results) -> str:
+    """The CSV of ``results``: the header, then one row per run, in order."""
+    return "".join(line + "\n" for line in [CSV_HEADER, *(r.csv_row() for r in results)])
 
 
 def emit_csv(results, path) -> None:
@@ -388,6 +371,4 @@ def emit_csv(results, path) -> None:
     if not results:
         raise ConfigurationError("no results to emit")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in results:
-            fh.write(r.csv_row() + "\n")
+        fh.write(csv_text(results))

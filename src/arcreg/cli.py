@@ -10,7 +10,7 @@ with ``History.load`` and ``check_history``:
 
     arcreg-bench --algo arc --readers 2 --verify --history-out run.txt
 
-Sweep from a JSON matrix file (overrides the single-run flags):
+Sweep from a JSON matrix file (refuses the single-run flags):
 
     arcreg-bench --matrix sweep.json --csv out.csv
 
@@ -24,73 +24,67 @@ import argparse
 import logging
 import sys
 
-from .api import CapacityError, ConfigurationError, RegisterKind
-from .bench import BenchConfig, CSV_HEADER, MatrixSpec, emit_csv, run_bench, run_matrix
+from .api import CapacityError, ConfigurationError
+from .bench import BenchConfig, csv_text, emit_csv, load_sweep, run_bench
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # A flag that is not given is left out of the namespace: a single run
+    # takes BenchConfig's default for it, and --matrix sees which were set.
     p = argparse.ArgumentParser(
         prog="arcreg-bench",
         description="Throughput benchmark for single-writer multi-reader registers.",
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--algo", default="ARC", help="ARC, RF, PETERSON, or RWLOCK")
-    p.add_argument("--readers", type=int, default=4, help="reader thread count")
-    p.add_argument("--size", type=int, default=4096, help="register size in bytes (>= 8)")
-    p.add_argument("--duration", type=float, default=1.0, help="seconds per run")
-    p.add_argument("--mode", choices=("hold", "work"), default="hold")
+    p.add_argument("--algo", help="ARC, RF, PETERSON, or RWLOCK")
+    p.add_argument("--readers", type=int, help="reader thread count")
+    p.add_argument("--size", type=int, help="register size in bytes (>= 8)")
+    p.add_argument("--duration", type=float, help="seconds per run")
+    p.add_argument("--mode", choices=("hold", "work"))
     p.add_argument("--verify", action="store_true", help="record and check the history")
-    p.add_argument("--seed", type=int, default=0, help="workload content seed")
-    p.add_argument("--csv", metavar="PATH", default=None, help="write results as CSV")
+    p.add_argument("--seed", type=int, help="workload content seed")
+    p.add_argument("--csv", metavar="PATH", help="write results as CSV")
     p.add_argument(
         "--history-out",
         metavar="PATH",
-        default=None,
         help="with --verify, save the run's merged history (one run only)",
     )
-    p.add_argument("--repeat", type=int, default=1, help="runs per configuration, one row each")
-    p.add_argument("--matrix", metavar="FILE", default=None, help="JSON sweep description")
-    p.add_argument("--min-ops", type=int, default=0, help="operation floor per run")
+    p.add_argument("--repeat", type=int, help="runs per configuration, one row each")
+    p.add_argument("--matrix", metavar="FILE", help="JSON sweep description")
+    p.add_argument("--min-ops", type=int, help="operation floor per run")
     return p
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = _build_parser().parse_args(argv)
+    run = vars(_build_parser().parse_args(argv))
+    csv, matrix = run.pop("csv", None), run.pop("matrix", None)
     try:
-        if args.history_out is not None and (args.matrix or args.repeat > 1):
-            raise ConfigurationError("--history-out saves one run: drop --matrix and --repeat")
-        if args.matrix:
-            spec = MatrixSpec.from_json(args.matrix)
-            results = run_matrix(spec)
-            if not results:
-                raise ConfigurationError(f"matrix file {args.matrix}: every case was skipped")
+        if matrix is not None:
+            if run:
+                flags = " ".join("--" + name.replace("_", "-") for name in run)
+                raise ConfigurationError(f"--matrix sets every run: drop {flags}")
+            configs = load_sweep(matrix)
+            if not configs:
+                raise ConfigurationError(f"matrix file {matrix}: every case was skipped")
         else:
-            cfg = BenchConfig(
-                algo=RegisterKind.parse(args.algo),
-                readers=args.readers,
-                size=args.size,
-                duration=args.duration,
-                mode=args.mode,
-                verify=args.verify,
-                seed=args.seed,
-                min_ops=args.min_ops,
-                history_out=args.history_out,
-            )
-            if args.repeat < 1:
+            repeat = run.pop("repeat", 1)
+            if repeat < 1:
                 raise ConfigurationError("repeat must be at least 1")
-            results = [run_bench(cfg) for _ in range(args.repeat)]
+            if repeat > 1 and "history_out" in run:
+                raise ConfigurationError("--history-out saves one run: drop --repeat")
+            configs = [BenchConfig(**run)] * repeat
+        results = [run_bench(cfg) for cfg in configs]
     except (ConfigurationError, CapacityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    print(CSV_HEADER)
-    for r in results:
-        print(r.csv_row())
-    if args.csv:
+    print(csv_text(results), end="")
+    if csv:
         try:
-            emit_csv(results, args.csv)
+            emit_csv(results, csv)
         except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {csv}: {exc}", file=sys.stderr)
             return 2
     violations = sum(r.violations for r in results)
     if violations:

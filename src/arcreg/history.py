@@ -34,11 +34,12 @@ its columns in place:
   Any other row order (a shuffled or time-sorted file, a writer that reads
   between its writes) takes a read and a write index list, which also
   prove that every row is one or the other, and gathers each column once.
-  Writes, which one writer records in invocation order, are sorted only
-  when they arrive otherwise. Threads are checked for overlapping records
-  by comparing neighbouring rows, once every thread is seen to form one
-  contiguous run, as ``History.from_recorders`` yields them; any other row
-  order takes one ``lexsort`` by (thread, invocation) first.
+  Writes, which one writer records in order, are sorted by (invocation,
+  response, seq) only when they arrive otherwise. Threads are checked for
+  overlapping records by comparing neighbouring rows, once every thread is
+  seen to form one contiguous run, as ``History.from_recorders`` yields
+  them; any other row order takes one ``lexsort`` by (thread, invocation,
+  response) first. So no tie is broken by row order.
 * each read is mapped once to the position of the write it returned, which
   is also the check that some write produced its seq: the seq is the
   position when the writes carry seqs 1, 2, ..., W, checked by one minimum
@@ -260,7 +261,7 @@ def _validate(h: History) -> tuple:
     reads form one block, else an index array. ``r_inv``, ``r_resp`` and
     ``r_seq`` are the reads' invocation, response and seq columns in row
     order. ``w_inv`` and ``w_resp`` are the writes' invocation and
-    response columns in invocation order, and ``values`` is
+    response columns in (invocation, response, seq) order, and ``values`` is
     ``[INITIAL_SEQ]`` followed by their seqs. ``source[i]`` is the
     position in ``values`` of the value that read ``reads[i]`` returned:
     0 for the initial value, k for the k-th write. The columns of a block
@@ -283,17 +284,22 @@ def _validate(h: History) -> tuple:
             bad = kind[(kind != KIND_READ) & (kind != KIND_WRITE)][0]
             raise CorruptedHistoryError(f"operation kind {bad} is neither read nor write")
     w_inv, w_resp, w_seq = _rows(inv, writes), _rows(resp, writes), _rows(seq, writes)
-    # One writer records its writes in invocation order; sort only
-    # histories that arrive otherwise.
-    if (w_inv[1:] < w_inv[:-1]).any():
-        order = np.argsort(w_inv, kind="stable")
+    # Writes are checked in (invocation, response, seq) order, the order one
+    # writer records them in: of two invoked at once, a zero-length one goes
+    # first. Sort only writes that overlap or whose seqs do not rise.
+    overlap = (w_inv[1:] < w_resp[:-1]).any()
+    falling = (w_seq[1:] <= w_seq[:-1]).any()
+    if overlap or falling:
+        order = np.lexsort((w_seq, w_resp, w_inv))
         w_inv, w_resp, w_seq = w_inv[order], w_resp[order], w_seq[order]
+        overlap = (w_inv[1:] < w_resp[:-1]).any()
+        falling = (w_seq[1:] <= w_seq[:-1]).any()
     values = np.concatenate(([INITIAL_SEQ], w_seq))
-    if (w_seq[1:] <= w_seq[:-1]).any():
+    if falling:
         raise CorruptedHistoryError("write sequence numbers are not strictly increasing")
     if len(w_seq) and w_seq[0] <= INITIAL_SEQ:  # the smallest seq, once they increase
         raise CorruptedHistoryError("write sequence number collides with the initial value")
-    if (w_inv[1:] < w_resp[:-1]).any():
+    if overlap:
         raise CorruptedHistoryError("writes overlap; single-writer history expected")
     _check_threads(h)
     r_seq = _rows(seq, reads)
@@ -319,7 +325,8 @@ def _check_threads(h: History) -> None:
     Rows merged from recorders come grouped by thread, each group in program
     order, so comparing neighbours is the whole check once every thread is
     known to form one contiguous run. Any other row order is sorted by
-    (thread, invocation) first.
+    (thread, invocation, response) first: of two records invoked at once,
+    a zero-length one goes first, whatever their row order.
     """
     if len(h) < 2:
         return
@@ -328,7 +335,7 @@ def _check_threads(h: History) -> None:
     runs = np.concatenate((thread[:1], thread[1:][~same]))
     if len(np.unique(runs)) == len(runs) and not (same & (inv[1:] < resp[:-1])).any():
         return
-    order = np.lexsort((inv, thread))
+    order = np.lexsort((resp, inv, thread))
     thread, inv, resp = thread[order], inv[order], resp[order]
     bad = np.flatnonzero((thread[1:] == thread[:-1]) & (inv[1:] < resp[:-1]))
     if len(bad):

@@ -518,9 +518,11 @@ class CheckedArcRegister(ArcRegister):
 # The history checker as it stood before its private part became a few
 # linear passes: a per-thread sort loop, a second sort of the writes and
 # ``np.isin`` for known seqs. Kept as it was, as the oracle the fast checker
-# must match report for report, witnesses and error messages included; the
-# one addition is the refusal of kind codes other than read and write, a
-# separate mask that the fast checker gets from its two index lists.
+# must match report for report, witnesses and error messages included. Two
+# additions: the refusal of kind codes other than read and write, a separate
+# mask that the fast checker gets from its two index lists; and ties, which
+# order the writes by (invocation, response, seq) and a thread's records by
+# (invocation, response), so that no verdict depends on row order.
 
 
 def reference_check_history(h: History) -> VerificationReport:
@@ -544,7 +546,7 @@ def _reference_validate(h: History) -> tuple[np.ndarray, np.ndarray]:
     writes = np.flatnonzero(h.kind == KIND_WRITE)
     reads = np.flatnonzero(h.kind == KIND_READ)
     if len(writes):
-        order = writes[np.argsort(h.invocation[writes], kind="stable")]
+        order = _reference_write_order(h, writes)
         seqs = h.seq[order]
         if (np.diff(seqs) <= 0).any():
             raise CorruptedHistoryError("write sequence numbers are not strictly increasing")
@@ -556,7 +558,7 @@ def _reference_validate(h: History) -> tuple[np.ndarray, np.ndarray]:
     # sequential); equal boundary timestamps are tolerated.
     for tid in np.unique(h.thread):
         idx = np.flatnonzero(h.thread == tid)
-        order = idx[np.argsort(h.invocation[idx], kind="stable")]
+        order = idx[np.lexsort((h.response[idx], h.invocation[idx]))]
         if len(order) > 1 and (h.invocation[order][1:] < h.response[order][:-1]).any():
             raise CorruptedHistoryError(f"thread {tid} has overlapping operations")
     if len(reads):
@@ -569,6 +571,11 @@ def _reference_validate(h: History) -> tuple[np.ndarray, np.ndarray]:
     return reads, writes
 
 
+def _reference_write_order(h: History, writes: np.ndarray) -> np.ndarray:
+    """The write rows by (invocation, response, seq): ties never fall to row order."""
+    return writes[np.lexsort((h.seq[writes], h.response[writes], h.invocation[writes]))]
+
+
 def _reference_no_past(h: History, reads: np.ndarray, writes: np.ndarray) -> list[RegularityViolation]:
     if not len(reads):
         return []
@@ -577,7 +584,7 @@ def _reference_no_past(h: History, reads: np.ndarray, writes: np.ndarray) -> lis
     r_resp = h.response[reads]
     r_seq = h.seq[reads]
     if len(writes):
-        order = writes[np.argsort(h.invocation[writes], kind="stable")]
+        order = _reference_write_order(h, writes)
         w_inv = h.invocation[order]
         w_resp = h.response[order]
         w_seq = h.seq[order]

@@ -16,12 +16,15 @@ from arcreg import (
     RegisterKind,
     RfRegister,
     RwlockRegister,
+    check_history,
     decode_versioned,
     encode_versioned,
     run_bench,
 )
+from arcreg import baselines
+from arcreg.api import RF_INDEX_BITS, RF_MAX_READERS, InvariantViolation
 from arcreg.baselines import _WRITER_BIT
-from support import instrument, run_schedule
+from support import Meter, instrument, iter_schedule, run_schedule, schedule_history
 
 ALL_BASELINES = [RfRegister, PetersonRegister, RwlockRegister]
 ALL_REGISTERS = [ArcRegister, *ALL_BASELINES]
@@ -62,6 +65,21 @@ def test_thousand_alternating_rounds_monotone(cls):
 def test_rf_refuses_59_readers():
     with pytest.raises(CapacityError):
         RfRegister(b"\x00" * 8, 59, 64)
+
+
+def test_rf_reader_cap_is_where_the_presence_bits_meet_the_index(monkeypatch):
+    # Reader r's presence bit is bit r; the buffer index takes the top
+    # RF_INDEX_BITS. At the cap a seeded schedule checks clean. One reader
+    # more, and that reader's fetch-or sets the index's lowest bit, which the
+    # next write finds as a published index it never wrote.
+    assert RF_MAX_READERS == 64 - RF_INDEX_BITS == 58
+    reg = RfRegister(encode_versioned(0, 64), 58, 64)
+    costs = list(iter_schedule(reg, Meter(), ops=20_000, write_every=3))
+    assert check_history(schedule_history(costs)).total_violations == 0
+    monkeypatch.setattr(baselines, "RF_MAX_READERS", 59)
+    reg = RfRegister(encode_versioned(0, 64), 59, 64)
+    with pytest.raises(InvariantViolation, match="published index drifted"):
+        list(iter_schedule(reg, Meter(), ops=20_000, write_every=3))
 
 
 def test_rf_at_the_58_reader_cap_constructs():

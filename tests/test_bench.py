@@ -12,13 +12,12 @@ from arcreg import (
     CapacityError,
     ConfigurationError,
     History,
-    MatrixSpec,
     RegisterKind,
     check_history,
     emit_csv,
     encode_versioned,
+    load_sweep,
     run_bench,
-    run_matrix,
 )
 from arcreg.cli import main as cli_main
 from support import BrokenArcRegister, instrument, run_schedule
@@ -103,43 +102,40 @@ def test_emit_csv_refuses_empty_results(tmp_path):
         emit_csv([], tmp_path / "out.csv")
 
 
-def test_matrix_cartesian_row_count():
-    spec = MatrixSpec(
-        algos=[RegisterKind.ARC, RegisterKind.RF, RegisterKind.PETERSON, RegisterKind.RWLOCK],
-        readers=[2],
-        sizes=[64, 256, 1024],
-        duration=0.1,
-    )
-    results = run_matrix(spec)
-    assert len(results) == 12
+def _sweep_file(tmp_path, **keys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(keys))
+    return path
 
 
-def test_matrix_skips_rf_beyond_capacity_with_note(caplog):
-    spec = MatrixSpec(
-        algos=[RegisterKind.ARC, RegisterKind.RF],
-        readers=[64],
-        sizes=[64],
-        duration=0.1,
-    )
+def test_matrix_cartesian_row_count(tmp_path):
+    algos = ["arc", "rf", "peterson", "rwlock"]
+    path = _sweep_file(tmp_path, algos=algos, readers=[2], sizes=[64, 256, 1024], duration=0.1)
+    configs = load_sweep(path)
+    assert [(c.algo, c.readers, c.size) for c in configs] == [
+        (RegisterKind.parse(a), 2, size) for a in algos for size in (64, 256, 1024)
+    ]
+    assert {c.duration for c in configs} == {0.1}
+
+
+def test_matrix_skips_rf_beyond_capacity_with_note(tmp_path, caplog):
+    path = _sweep_file(tmp_path, algos=["arc", "rf"], readers=[64], sizes=[64], duration=0.1)
     with caplog.at_level(logging.WARNING, logger="arcreg.bench"):
-        results = run_matrix(spec)
-    assert len(results) == 1  # only the ARC row
+        configs = load_sweep(path)
+    assert [c.algo for c in configs] == [RegisterKind.ARC]  # only the ARC case
     assert any("skipping RF" in message for message in caplog.messages)
 
 
 def test_matrix_spec_from_json(tmp_path):
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({
-        "algos": ["arc", "rwlock"],
-        "readers": [1, 2],
-        "sizes": [64],
-        "duration": 0.1,
-        "mode": "hold",
-    }))
-    spec = MatrixSpec.from_json(path)
-    assert spec.algos == [RegisterKind.ARC, RegisterKind.RWLOCK]
-    results = run_matrix(spec)
-    assert len(results) == 4
+    path = _sweep_file(tmp_path, algos=["arc", "rwlock"], readers=[1, 2], sizes=[64],
+                       duration=0.1, mode="hold")
+    configs = load_sweep(path)
+    assert [(c.algo, c.readers) for c in configs] == [
+        (RegisterKind.ARC, 1), (RegisterKind.ARC, 2),
+        (RegisterKind.RWLOCK, 1), (RegisterKind.RWLOCK, 2),
+    ]
+    results = [run_bench(c) for c in configs]
+    assert [(r.algo, r.readers) for r in results] == [(c.algo, c.readers) for c in configs]
 
 
 def test_same_seed_schedule_replays_exactly():
@@ -203,15 +199,29 @@ def test_cli_rejects_bad_config(tmp_path):
         {"algos": ["arc"], "readers": [], "sizes": [64]},  # an empty axis
         {"algos": [], "readers": [1], "sizes": [64]},
         {"algos": ["arc"], "readers": [1], "sizes": [64], "repeat": 0},
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "duration": True},
+        {"algos": [5], "readers": [1], "sizes": [64]},
+        # BenchConfig fields that a sweep does not set
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "switch_interval": 0.001},
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "history_out": "h.txt"},
     ]
     path = tmp_path / "sweep.json"
     out = tmp_path / "out.csv"
     for sweep in malformed:
         path.write_text(json.dumps(sweep))
         with pytest.raises(ConfigurationError):
-            MatrixSpec.from_json(path)
+            load_sweep(path)
         assert cli_main(["--matrix", str(path)]) == 2
         assert cli_main(["--matrix", str(path), "--csv", str(out)]) == 2
+    # The matrix file sets every run: a single-run flag beside it is refused,
+    # not dropped, even when it repeats the default.
+    path.write_text(json.dumps({"algos": ["arc"], "readers": [1], "sizes": [64],
+                                "duration": 0.1}))
+    for flag in (["--algo", "arc"], ["--readers", "2"], ["--size", "64"],
+                 ["--duration", "0.1"], ["--mode", "work"], ["--verify"], ["--seed", "1"],
+                 ["--repeat", "3"], ["--repeat", "1"], ["--min-ops", "5"]):
+        assert cli_main(["--matrix", str(path), *flag]) == 2
+        assert cli_main(["--matrix", str(path), "--csv", str(out), *flag]) == 2
     # A sweep whose every case is skipped ran nothing: a bad configuration.
     path.write_text(json.dumps({"algos": ["rf"], "readers": [64], "sizes": [4096]}))
     assert cli_main(["--matrix", str(path)]) == 2
@@ -235,12 +245,15 @@ def test_duration_must_be_positive_and_finite(duration, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("verify", "no"), ("verify", 1), ("readers", 2.5), ("readers", True), ("size", 4096.0),
-    ("seed", 1.5), ("seed", None), ("min_ops", -3),
+    ("seed", 1.5), ("seed", None), ("min_ops", -3), ("duration", True), ("algo", 5),
+    ("algo", None), ("switch_interval", "x"), ("switch_interval", 0.0),
+    ("switch_interval", float("nan")), ("history_out", 5),
 ])
 def test_config_fields_are_type_checked(field, value):
     # verify="no" is truthy and would turn verification on; a bool is an int
     # to Python; a float reader count would fail only when the register is
-    # built, with a TypeError.
+    # built, with a TypeError. history_out=5 would be taken as file
+    # descriptor 5, and a NaN switch interval aborts the interpreter.
     config = dict(algo=RegisterKind.ARC, readers=2, size=64, duration=0.1)
     with pytest.raises(ConfigurationError, match=field):
         BenchConfig(**{**config, field: value})
@@ -265,7 +278,7 @@ def test_cli_matrix_mode(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
-def test_repeat_gives_one_row_per_run(capsys):
+def test_repeat_gives_one_row_per_run(tmp_path, capsys):
     rc = cli_main([
         "--algo", "arc", "--readers", "1", "--size", "64", "--duration", "0.1",
         "--repeat", "2",
@@ -274,12 +287,9 @@ def test_repeat_gives_one_row_per_run(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
-    spec = MatrixSpec(
-        algos=[RegisterKind.ARC, RegisterKind.RF], readers=[1], sizes=[64],
-        duration=0.1, repeat=2,
-    )
-    results = run_matrix(spec)
-    assert [r.algo for r in results] == [RegisterKind.ARC] * 2 + [RegisterKind.RF] * 2
+    path = _sweep_file(tmp_path, algos=["arc", "rf"], readers=[1], sizes=[64],
+                       duration=0.1, repeat=2)
+    assert [c.algo for c in load_sweep(path)] == [RegisterKind.ARC] * 2 + [RegisterKind.RF] * 2
 
 
 def test_saved_history_rechecks_to_the_same_verdict(tmp_path):

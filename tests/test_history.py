@@ -383,9 +383,9 @@ def test_checker_matches_reference_checker_on_random_histories():
     # Each history's grouped rows, which the checker reads in place, must
     # also give the report of the same rows permuted, which it gathers.
     # Errors are left out of that comparison: the first check to fail names
-    # the error, and row order can change which fails first. Ties between
-    # equal invocations order a thread's rows, or the writes, by row order,
-    # so a permuted valid history may even be refused.
+    # the error, and row order can change which fails first. But no
+    # uncorrupted history is refused in any row order: ties between equal
+    # invocations are broken by the response, and the writes' then by seq.
     rng = random.Random(12)
     seen = Counter()
     compared = 0
@@ -406,6 +406,8 @@ def test_checker_matches_reference_checker_on_random_histories():
             assert isinstance(history._validate(grouped)[0], range), rows
         got = _by_row(_outcome(check_history, permuted), permuted, perm)
         expected = _by_row(_outcome(check_history, grouped), grouped, range(len(rows)))
+        if corruption is None:
+            assert not isinstance(expected, str) and not isinstance(got, str), (rows, perm, got)
         if not isinstance(got, str) and not isinstance(expected, str):
             assert got == expected, rows
             compared += 1
@@ -424,6 +426,21 @@ def test_thread_split_by_another_thread_is_still_an_overlap():
     )
     with pytest.raises(CorruptedHistoryError, match="^thread 1 has overlapping operations$"):
         check_history(h)
+
+
+@pytest.mark.parametrize("rows", [
+    [OpRecord(0, "write", 0, 5, 2), OpRecord(0, "write", 0, 0, 1), OpRecord(1, "read", 6, 7, 2)],
+    [OpRecord(0, "write", 0, 0, 1), OpRecord(0, "write", 0, 5, 2), OpRecord(1, "read", 6, 7, 2)],
+    [OpRecord(1, "read", 0, 5, 0), OpRecord(1, "read", 0, 0, 0)],
+    [OpRecord(1, "read", 0, 0, 0), OpRecord(1, "read", 0, 5, 0)],
+])
+def test_operations_invoked_at_once_are_ordered_by_response(rows):
+    # A zero-length operation invoked at the same tick as a longer one goes
+    # first, whichever row holds it.
+    h = H(*rows)
+    report = check_history(h)
+    assert report.total_violations == 0
+    assert report == reference_check_history(h)
 
 
 def test_thread_rows_out_of_program_order_are_sorted_before_the_check():
