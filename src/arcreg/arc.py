@@ -10,6 +10,12 @@ counter value is frozen into the retired slot's ``r_start``; a slot is free
 for reuse exactly when ``r_start == r_end``. With N+2 slots a free slot
 always exists, so neither side ever waits or retries.
 
+The writer picks its slot (W1) without a search when it can: a slot retired
+with a frozen count of zero had no reader bound to it, so no reader will
+ever release it, and it is free from the moment W3 freezes it. The next
+write takes that slot; only when the last retired slot had readers does W1
+search, next fit, for a free one.
+
 A reader keeps the ``(content, size)`` pair of the slot it is bound to, built
 once when it binds, and the fast path (R2) returns that pair. This is exact:
 the writer reuses a slot only once every presence unit on it is released,
@@ -27,9 +33,10 @@ store. :mod:`arcreg.atomics` is sequentially consistent under the GIL,
 which satisfies all of that.
 
 Liveness caveat: a reader that stops reading keeps one presence unit parked
-on its last slot forever, permanently retiring that one slot. The algorithm
-assumes readers keep reading; with N+2 slots the writer still always finds
-a free slot.
+on its last slot forever, permanently retiring that one slot. With N+2 slots
+the writer still always finds a free slot. Once every reader has stopped,
+each write takes the slot the previous one retired empty, with no search;
+the first write after the readers stop may still probe up to N+1 slots.
 """
 
 from __future__ import annotations
@@ -103,6 +110,22 @@ class ArcRegister(Register):
         self._slots[0].size = size
         self._current = AtomicU64(pack(0, n_readers))  # I1
 
+    def rmw_counters(self) -> tuple[int, int]:
+        """Cumulative RMW counts on the (read, write) paths, read at the word.
+
+        Every slot-transition read releases one unit (R3) and binds one
+        (R4), and every bind adds one unit to ``current``'s counter: to the
+        count of the slot then current. I1 put N units on slot 0, and each
+        W3 freezes a retired slot's count, so the binds so far are the
+        frozen counts plus the counter in ``current``, less N. Exact while
+        no operation is in flight.
+        """
+        writer = self._writer
+        if writer is None:
+            return 0, 0  # no write yet: every read took the fast path
+        binds = writer.frozen_units + (self._current.load() & COUNTER_MASK) - self.n_readers
+        return 2 * binds, writer.rmw_ops
+
     def _make_reader(self, reader_id: int) -> "ArcReader":
         return ArcReader(self, reader_id)
 
@@ -120,7 +143,7 @@ class ArcReader:
     was set before the W2 that published it.
     """
 
-    __slots__ = ("_reg", "reader_id", "last_index", "_value", "reads", "rmw_ops")
+    __slots__ = ("_reg", "reader_id", "last_index", "_value", "reads")
 
     def __init__(self, reg: ArcRegister, reader_id: int) -> None:
         self._reg = reg
@@ -129,7 +152,6 @@ class ArcReader:
         slot = reg._slots[0]
         self._value = slot.content, slot.size
         self.reads = 0
-        self.rmw_ops = 0
 
     def read(self):
         """Return ``(buffer, size)`` of the newest published value.
@@ -146,7 +168,6 @@ class ArcReader:
             return self._value  # R2: kept pair, no RMW
         reg._slots[self.last_index].r_end.add_and_fetch(1)  # R3: release
         tmp = reg._current.add_and_fetch(1)  # R4: bind to the newest slot
-        self.rmw_ops += 2
         self.last_index = index = tmp >> INDEX_SHIFT  # R5
         slot = reg._slots[index]
         self._value = value = slot.content, slot.size
@@ -157,26 +178,38 @@ class ArcReader:
 
 
 class ArcWriter:
-    """The single writer: selects a free slot, copies, publishes, freezes."""
+    """The single writer: selects a free slot, copies, publishes, freezes.
 
-    __slots__ = ("_reg", "last_slot", "writes")
+    ``empty_slot`` is the slot the last W3 froze at zero presence units, or
+    None. ``frozen_units`` sums the counts every W3 froze; the register
+    derives its read RMW count from it.
+    """
+
+    __slots__ = ("_reg", "last_slot", "empty_slot", "frozen_units", "writes")
 
     def __init__(self, reg: ArcRegister) -> None:
         self._reg = reg
         self.last_slot = 0  # matches init: slot 0 holds the initial value
+        self.empty_slot = None  # I1 parks N units on slot 0
+        self.frozen_units = 0
         self.writes = 0
 
     def write(self, data) -> None:
         """Publish ``data`` as the new register value.
 
-        Wait-free: the W1 search always succeeds within N+1 probes because
-        at most N presence units are outstanding across retired slots.
-        Executes exactly one RMW (the W2 exchange).
+        W1 takes the slot the last write retired empty: its ``r_end`` was
+        reset before the W2 that published it, and no reader bound to it,
+        so no R3 will ever touch it. Else W1 searches, next fit, and always
+        succeeds within N+1 probes because at most N presence units are
+        outstanding across retired slots. Executes exactly one RMW (the W2
+        exchange).
         """
         reg = self._reg
         slots = reg._slots
         size = reg._fit(data)  # before any side effect
-        slot_idx = self.find_free_slot()  # W1
+        slot_idx = self.empty_slot  # W1: the empty retired slot,
+        if slot_idx is None:
+            slot_idx = self.find_free_slot()  # else next fit
         slot = slots[slot_idx]
         # One memcpy through the slot's kept view (see ``Register``): the
         # chosen slot is unpublished until W2, so the copy need not be
@@ -193,6 +226,8 @@ class ArcWriter:
                 f"frozen presence count {freed} exceeds N={reg.n_readers}"
             )
         slots[old_slot].r_start = freed  # W3: freeze retired slot
+        self.empty_slot = None if freed else old_slot
+        self.frozen_units += freed
         self.last_slot = slot_idx
         self.writes += 1
 
@@ -203,13 +238,16 @@ class ArcWriter:
     def find_free_slot(self) -> int:
         """Return a slot index != last_slot whose ``r_start == r_end``.
 
-        Next fit: the search starts one past ``last_slot``, wraps around,
-        and returns the first free slot. While the readers keep reading, a
-        write usually probes one or two slots whatever N is. A reader that
-        stops keeps its last slot busy, so with N readers parked on N
-        different slots a write probes about (N+1)/2 slots on average. It
-        probes at most the N+1 other slots; exhausting them would falsify
-        the free-slot accounting and aborts loudly.
+        W1's fallback, when the last write retired a slot that readers had
+        bound to. Next fit: the search starts one past ``last_slot``, wraps
+        around, and returns the first free slot. While the readers keep
+        reading, a search usually probes one or two slots whatever N is. A
+        reader that stops keeps its last slot busy, so with N readers parked
+        on N different slots a search probes about (N+1)/2 slots on
+        average; once they are all parked, though, writes retire their
+        slots empty and search no more. It probes at most the N+1 other
+        slots; exhausting them would falsify the free-slot accounting and
+        aborts loudly.
         """
         slots = self._reg._slots
         last = self.last_slot

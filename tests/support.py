@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -230,7 +231,9 @@ class BrokenArcWriter(ArcWriter):
     def write(self, data) -> None:
         reg = self._reg
         size = reg._fit(data)
-        slot_idx = self.find_free_slot()  # W1
+        slot_idx = self.empty_slot  # W1, as the writer picks it
+        if slot_idx is None:
+            slot_idx = self.find_free_slot()
         slot = reg._slots[slot_idx]
         slot.r_start = 0
         slot.r_end.store(0)
@@ -246,6 +249,8 @@ class BrokenArcWriter(ArcWriter):
         if freed > reg.n_readers:
             raise InvariantViolation("frozen presence count exceeds N")
         reg._slots[old_slot].r_start = freed  # W3
+        self.empty_slot = None if freed else old_slot
+        self.frozen_units += freed
         self.last_slot = slot_idx
         self.writes += 1
 
@@ -380,42 +385,86 @@ class OpCost(NamedTuple):
     seq: int  # the version written, or the version the read returned
 
 
+#: Reader shapes ``run_schedule`` drives. ``uniform``: every reader reads
+#: alike. ``skewed``: reader i reads with weight 1/(i+1). ``half-parked``: the
+#: first N//2 readers park, the rest read alike. ``parked``: every reader
+#: parks, and every later op is a write.
+READER_SHAPES = ("uniform", "skewed", "half-parked", "parked")
+
+
+def reader_weights(shape: str, n: int) -> list[float]:
+    """Each reader's read weight in one of ``READER_SHAPES``; 0 parks it."""
+    if shape == "uniform":
+        return [1.0] * n
+    if shape == "skewed":
+        return [1.0 / (i + 1) for i in range(n)]
+    if shape == "half-parked":
+        return [0.0] * (n // 2) + [1.0] * (n - n // 2)
+    if shape == "parked":
+        return [0.0] * n
+    raise ValueError(f"unknown reader shape {shape!r}")
+
+
 def run_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
-                 seed: int = 9) -> list[OpCost]:
+                 seed: int = 9, readers: str = "uniform") -> list[OpCost]:
     """Drive ``reg`` through a seeded single-thread schedule; cost each op.
 
     ``reg`` holds a version-0 value. The driver makes all ``n_readers``
-    reader handles and the writer. Each op is a write with probability
-    1/``write_every``, otherwise a read by a uniformly chosen reader; write
-    k stores ``encode_versioned(k, max_size)``. A rwlock reader holds its
-    shared lock from one read to the next, so before each write every
-    rwlock reader calls ``finish()``, outside the write's cost.
+    reader handles and the writer. Each reader the ``readers`` shape (one of
+    ``READER_SHAPES``) parks first reads once, right after a write of its
+    own, and never again: N parked readers hold N different slots. Then
+    each of ``ops`` ops is a write with probability 1/``write_every``,
+    otherwise a read by a reader drawn by its weight (a write when every
+    reader is parked); write k stores ``encode_versioned(k, max_size)``. A
+    rwlock reader holds its shared lock from one read to the next, so
+    before each write every rwlock reader calls ``finish()``, outside the
+    write's cost.
     """
-    return list(iter_schedule(reg, meter, ops, write_every, seed))
+    return list(iter_schedule(reg, meter, ops, write_every, seed, readers))
+
+
+def _schedule_plan(rng: random.Random, weights: list[float], ops: int,
+                   write_every: int) -> Iterator[int | None]:
+    """The reader index of each op of a schedule, None for a write."""
+    for i, weight in enumerate(weights):
+        if not weight:
+            yield None
+            yield i
+    active = [i for i, weight in enumerate(weights) if weight]
+    # Alike weights draw as the uniform schedule always has, so its seeded
+    # figures stay as they were.
+    alike = len({weights[i] for i in active}) <= 1
+    cum_weights = list(accumulate(weights[i] for i in active))
+    for _ in range(ops):
+        if not active or rng.randrange(write_every) == 0:
+            yield None
+        elif alike:
+            yield active[rng.randrange(len(active))]
+        else:
+            yield rng.choices(active, cum_weights=cum_weights)[0]
 
 
 def iter_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
-                  seed: int = 9) -> Iterator[OpCost]:
+                  seed: int = 9, readers: str = "uniform") -> Iterator[OpCost]:
     """``run_schedule`` one op at a time: a caller keeps the ops that
     completed before one raised."""
-    readers = [reg.new_reader() for _ in range(reg.n_readers)]
+    handles = [reg.new_reader() for _ in range(reg.n_readers)]
     writer = reg.writer()
     blocking = isinstance(reg, RwlockRegister)
-    seen = [0] * len(readers)
-    rng = random.Random(seed)
-    for _ in range(ops):
-        write = rng.randrange(write_every) == 0
-        if write and blocking:
-            for reader in readers:
+    seen = [0] * len(handles)
+    plan = _schedule_plan(random.Random(seed), reader_weights(readers, len(handles)),
+                          ops, write_every)
+    for i in plan:
+        if i is None and blocking:
+            for reader in handles:
                 reader.finish()
         rmw, probes = meter.rmw, meter.r_end.loads
-        if write:
+        if i is None:
             seq = writer.writes + 1
             writer.write(encode_versioned(seq, reg.max_size))
             kind, moved = "write", True
         else:
-            i = rng.randrange(len(readers))
-            buf, _ = readers[i].read()
+            buf, _ = handles[i].read()
             seq = int.from_bytes(buf[:8], "little")
             kind, moved = "read", seq != seen[i]
             seen[i] = seq

@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines. The stress matrix (readers x sizes, >= 2e6 verified operations per
 configuration) runs once, with ARC's accounting checks armed, as a session
 fixture and feeds criteria 1 and 4. Criterion 3 measures RMWs and W1 probes
-at the words over a seeded single-thread schedule.
+at the words over seeded single-thread schedules, one per reader shape
+(uniform, skewed, half parked, all parked), and checks each one's history.
 """
 
 import os
@@ -28,6 +29,7 @@ from arcreg import (
     run_bench,
 )
 from support import (
+    READER_SHAPES,
     BrokenArcRegister,
     CheckedArcRegister,
     Meter,
@@ -35,6 +37,7 @@ from support import (
     linearizable_by_search,
     random_small_history,
     run_schedule,
+    schedule_history,
 )
 
 STRESS_READERS = (2, 8, 16, 31)
@@ -137,26 +140,37 @@ def test_criterion_3_wait_freedom_bounds():
     # across an operation is exactly that operation's RMW and probe count.
     ok = True
     for n in SWEEP_READERS:
-        figures = []
-        for write_every in SWEEP_WRITE_EVERY:
-            reg = ArcRegister(encode_versioned(0, 64), n, 64)
-            costs = run_schedule(reg, instrument(reg), write_every=write_every)
-            reads, writes = _rmw_by_kind(costs)
-            probes = [c.probes for c in costs if c.kind == "write"]
-            ok_here = (
-                max(reads) <= 2
-                and not any(c.rmw for c in costs if c.kind == "read" and not c.moved)
-                and set(writes) == {1}
-                and max(probes) <= n + 1
-                and reg.rmw_counters() == (sum(reads), sum(writes))
-            )
-            ok = ok and ok_here
-            figures.append(
-                f"1/{write_every}: read RMW max {max(reads)}, write RMW {sorted(set(writes))}, "
-                f"probes max {max(probes)} mean {sum(probes) / len(probes):.2f}"
-                + ("" if ok_here else " FAIL")
-            )
-        print(f"  ARC N={n:<5} (probe cap {n + 1}) " + "; ".join(figures))
+        for shape in READER_SHAPES:
+            # Mean W1 probes per write allowed. A write after a write that
+            # no reader saw takes the slot that one retired empty, so once
+            # every reader is parked, writes hardly search at all.
+            cap = 1 if shape == "parked" else 4
+            figures = []
+            # Once every reader is parked, every op is a write.
+            for write_every in (1,) if shape == "parked" else SWEEP_WRITE_EVERY:
+                reg = ArcRegister(encode_versioned(0, 64), n, 64)
+                costs = run_schedule(reg, instrument(reg), write_every=write_every,
+                                     readers=shape)
+                reads, writes = _rmw_by_kind(costs)
+                probes = [c.probes for c in costs if c.kind == "write"]
+                mean = sum(probes) / len(probes)
+                ok_here = (
+                    max(reads) <= 2
+                    and not any(c.rmw for c in costs if c.kind == "read" and not c.moved)
+                    and set(writes) == {1}
+                    and max(probes) <= n + 1
+                    and mean <= cap
+                    and reg.rmw_counters() == (sum(reads), sum(writes))
+                    and check_history(schedule_history(costs)).atomic
+                )
+                ok = ok and ok_here
+                figures.append(
+                    f"1/{write_every}: read RMW max {max(reads)}, write RMW {sorted(set(writes))}, "
+                    f"probes max {max(probes)} mean {mean:.2f}"
+                    + ("" if ok_here else " FAIL")
+                )
+            print(f"  ARC N={n:<5} {shape:<11} (probe cap {n + 1}, mean cap {cap}) "
+                  + "; ".join(figures))
     for n in STRESS_READERS:
         reg = RfRegister(encode_versioned(0, 64), n, 64)
         reads, writes = _rmw_by_kind(run_schedule(reg, instrument(reg), write_every=2))
@@ -170,7 +184,8 @@ def test_criterion_3_wait_freedom_bounds():
     _verdict(
         3, ok,
         "measured at the words: ARC reads <= 2 RMW (0 when the value is unchanged), "
-        "writes 1 RMW and <= N+1 probes; RF 1 and 1; totals match rmw_counters()",
+        "writes 1 RMW, <= N+1 probes and a bounded mean on every reader shape, "
+        "histories atomic; RF 1 and 1; totals match rmw_counters()",
     )
     assert ok
 

@@ -178,7 +178,7 @@ def _arc_state(reg, writer):
     if not isinstance(reg, ArcRegister):
         return None
     slots = [(s.r_start, s.r_end.load(), s.size) for s in reg._slots]
-    return writer.last_slot, reg._current.load(), slots
+    return writer.last_slot, writer.empty_slot, writer.frozen_units, reg._current.load(), slots
 
 
 @pytest.mark.parametrize("cls", [ArcRegister, RfRegister, RwlockRegister])
