@@ -119,10 +119,12 @@ class Register:
 
     The base class owns the handle registry (one writer, ``n_readers``
     readers), the size contract (``_fit``: a value is 1..``max_size``
-    bytes, checked before any side effect), content-buffer allocation and
-    accounting, and the rollup of the handles' ``rmw_ops`` tallies.
-    Subclasses implement ``_make_reader(reader_id)`` and ``_make_writer()``;
-    handles are usable from one thread at a time but may migrate between
+    bytes, checked before any side effect), and content-buffer allocation
+    and accounting. Its ``rmw_counters`` sums the handles' ``rmw_ops``
+    tallies, as the baselines need; ``ArcRegister`` overrides it and
+    derives its read count at the synchronization word. Subclasses
+    implement ``_make_reader(reader_id)`` and ``_make_writer()``; handles
+    are usable from one thread at a time but may migrate between
     operations.
 
     Kept-view rule: ``_new_content_buffer`` returns each buffer together

@@ -16,11 +16,13 @@ ever release it, and it is free from the moment W3 freezes it. The next
 write takes that slot; only when the last retired slot had readers does W1
 search, next fit, for a free one.
 
-A reader keeps the ``(content, size)`` pair of the slot it is bound to, built
-once when it binds, and the fast path (R2) returns that pair. This is exact:
-the writer reuses a slot only once every presence unit on it is released,
-so the slot cannot change while this reader's unit is parked on it, and the
-writer sets ``size`` before the W2 exchange that lets any reader bind.
+Each slot publishes its ``(content, size)`` pair as ``value``, and no read
+allocates: a reader takes the pair of the slot it binds to, and the fast
+path (R2) returns it again. This is exact: the writer reuses a slot only
+once every presence unit on it is released, so the slot cannot change while
+this reader's unit is parked on it, and the writer sets ``value`` before the
+W2 exchange that lets any reader bind. The writer builds a new pair only
+when a write's size differs from the slot's last one.
 
 Step labels used throughout (``I1``, ``R1``..``R5``, ``W1``..``W3``) name
 the individual algorithm steps and are referenced by the tests.
@@ -71,15 +73,15 @@ class _Slot:
     and read only by the writer's free-slot search. ``r_end`` is an atomic
     RMW counter because several readers may release the same slot
     concurrently. ``view`` is the kept view writes copy through; readers
-    get ``content``.
+    get ``value``, the ``(content, size)`` pair of the value the slot holds.
     """
 
-    __slots__ = ("r_start", "r_end", "size", "content", "view")
+    __slots__ = ("r_start", "r_end", "value", "content", "view")
 
     def __init__(self, content: bytearray, view: memoryview) -> None:
         self.r_start = 0
         self.r_end = AtomicU64(0)
-        self.size = 0
+        self.value = content, 0
         self.content = content
         self.view = view
 
@@ -106,8 +108,9 @@ class ArcRegister(Register):
         # value, and current = pack(0, N) -- as if every reader already
         # started reading slot 0.
         self._slots = [_Slot(*self._new_content_buffer()) for _ in range(n_readers + 2)]
-        self._slots[0].view[:size] = initial
-        self._slots[0].size = size
+        slot = self._slots[0]
+        slot.view[:size] = initial
+        slot.value = slot.content, size
         self._current = AtomicU64(pack(0, n_readers))  # I1
 
     def rmw_counters(self) -> tuple[int, int]:
@@ -136,11 +139,11 @@ class ArcRegister(Register):
 class ArcReader:
     """Per-reader state: the slot this reader is bound to via one unit.
 
-    ``_value`` is that slot's ``(content, size)`` pair, built when the reader
-    binds: from slot 0 at construction (I1 parks every reader's first unit
-    there) and at R5 from the slot R4 returned. R2 returns it as is; the
-    slot cannot be reused while the unit is parked on it, and its ``size``
-    was set before the W2 that published it.
+    ``_value`` is that slot's published ``(content, size)`` pair, taken when
+    the reader binds: from slot 0 at construction (I1 parks every reader's
+    first unit there) and at R5 from the slot R4 returned. R2 returns it as
+    is; the slot cannot be reused while the unit is parked on it, and its
+    ``value`` was set before the W2 that published it.
     """
 
     __slots__ = ("_reg", "reader_id", "last_index", "_value", "reads")
@@ -149,8 +152,7 @@ class ArcReader:
         self._reg = reg
         self.reader_id = reader_id
         self.last_index = 0  # init-time unit parked on slot 0
-        slot = reg._slots[0]
-        self._value = slot.content, slot.size
+        self._value = reg._slots[0].value
         self.reads = 0
 
     def read(self):
@@ -169,8 +171,7 @@ class ArcReader:
         reg._slots[self.last_index].r_end.add_and_fetch(1)  # R3: release
         tmp = reg._current.add_and_fetch(1)  # R4: bind to the newest slot
         self.last_index = index = tmp >> INDEX_SHIFT  # R5
-        slot = reg._slots[index]
-        self._value = value = slot.content, slot.size
+        self._value = value = reg._slots[index].value
         return value
 
     def finish(self) -> None:
@@ -197,27 +198,29 @@ class ArcWriter:
     def write(self, data) -> None:
         """Publish ``data`` as the new register value.
 
-        W1 takes the slot the last write retired empty: its ``r_end`` was
-        reset before the W2 that published it, and no reader bound to it,
-        so no R3 will ever touch it. Else W1 searches, next fit, and always
-        succeeds within N+1 probes because at most N presence units are
-        outstanding across retired slots. Executes exactly one RMW (the W2
-        exchange).
+        W1 takes the slot the last write retired empty. It needs no reset:
+        its ``r_end`` was reset before the W2 that published it, no reader
+        bound to it, so no R3 will ever touch it, and W3 froze its
+        ``r_start`` at 0. Else W1 searches, next fit, and resets the slot it
+        finds; the search always succeeds within N+1 probes because at most
+        N presence units are outstanding across retired slots. Executes
+        exactly one RMW (the W2 exchange).
         """
         reg = self._reg
         slots = reg._slots
         size = reg._fit(data)  # before any side effect
-        slot_idx = self.empty_slot  # W1: the empty retired slot,
+        slot_idx = self.empty_slot  # W1: the empty retired slot, already clean,
         if slot_idx is None:
-            slot_idx = self.find_free_slot()  # else next fit
+            slot_idx = self.find_free_slot()  # else next fit, then reset
+            slots[slot_idx].r_start = 0
+            slots[slot_idx].r_end.store(0)
         slot = slots[slot_idx]
         # One memcpy through the slot's kept view (see ``Register``): the
         # chosen slot is unpublished until W2, so the copy need not be
         # interruptible.
         slot.view[:size] = data
-        slot.size = size
-        slot.r_start = 0
-        slot.r_end.store(0)
+        if slot.value[1] != size:
+            slot.value = slot.content, size
         old = reg._current.exchange(slot_idx << INDEX_SHIFT)  # W2: publish
         old_slot = old >> INDEX_SHIFT
         freed = old & COUNTER_MASK  # W3 mask

@@ -231,19 +231,19 @@ class BrokenArcWriter(ArcWriter):
     def write(self, data) -> None:
         reg = self._reg
         size = reg._fit(data)
-        slot_idx = self.empty_slot  # W1, as the writer picks it
+        slot_idx = self.empty_slot  # W1, as the writer picks and resets it
         if slot_idx is None:
             slot_idx = self.find_free_slot()
+            reg._slots[slot_idx].r_start = 0
+            reg._slots[slot_idx].r_end.store(0)
         slot = reg._slots[slot_idx]
-        slot.r_start = 0
-        slot.r_end.store(0)
         old = reg._current.exchange(slot_idx << INDEX_SHIFT)  # W2 first: wrong
         # Copy after publish: the injected bug.
         source = memoryview(data)
         for off in range(0, size, MUTANT_COPY_CHUNK):
             end = min(off + MUTANT_COPY_CHUNK, size)
             slot.view[off:end] = source[off:end]
-        slot.size = size
+        slot.value = slot.content, size
         old_slot = old >> INDEX_SHIFT
         freed = old & COUNTER_MASK
         if freed > reg.n_readers:
@@ -423,7 +423,7 @@ def run_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
     return list(iter_schedule(reg, meter, ops, write_every, seed, readers))
 
 
-def _schedule_plan(rng: random.Random, weights: list[float], ops: int,
+def schedule_plan(rng: random.Random, weights: list[float], ops: int,
                    write_every: int) -> Iterator[int | None]:
     """The reader index of each op of a schedule, None for a write."""
     for i, weight in enumerate(weights):
@@ -452,7 +452,7 @@ def iter_schedule(reg, meter: Meter, ops: int = 20_000, write_every: int = 10,
     writer = reg.writer()
     blocking = isinstance(reg, RwlockRegister)
     seen = [0] * len(handles)
-    plan = _schedule_plan(random.Random(seed), reader_weights(readers, len(handles)),
+    plan = schedule_plan(random.Random(seed), reader_weights(readers, len(handles)),
                           ops, write_every)
     for i in plan:
         if i is None and blocking:
@@ -528,7 +528,8 @@ class CheckingWord(AtomicU64):
 
 
 class CheckedArcWriter(ArcWriter):
-    """ARC writer that checks the outstanding-reads sum before each write."""
+    """ARC writer that checks, before each write, the outstanding-reads sum
+    and that the empty retired slot W1 takes without a reset is clean."""
 
     def write(self, data) -> None:
         reg = self._reg
@@ -543,11 +544,20 @@ class CheckedArcWriter(ArcWriter):
             raise InvariantViolation(
                 f"outstanding-reads accounting {total} exceeds N={reg.n_readers}"
             )
+        if self.empty_slot is not None:
+            # No reader bound to it, so no R3 can reach its r_end.
+            slot = reg._slots[self.empty_slot]
+            reg.checks += 1
+            if not slot.r_start == 0 == slot.r_end.load():
+                raise InvariantViolation(
+                    f"empty retired slot {self.empty_slot} has r_start={slot.r_start}, "
+                    f"r_end={slot.r_end.load()}; W1 takes it without a reset"
+                )
         super().write(data)
 
 
 class CheckedArcRegister(ArcRegister):
-    """ArcRegister with its three accounting checks armed.
+    """ArcRegister with its four accounting checks armed.
 
     ``checks`` counts the checks run. Concurrent handles bump it without a
     lock, so a lost update can only undercount.

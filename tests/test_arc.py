@@ -4,6 +4,8 @@ The expected values in these tests were derived by executing the read and
 write step sequences (R1..R5, W1..W3, I1) by hand from the initial state.
 """
 
+import random
+
 import pytest
 
 from arcreg import (
@@ -18,15 +20,18 @@ from arcreg import (
     pack,
     unpack,
 )
-from arcreg.api import ARC_FIELD_BITS
+from arcreg.api import ARC_FIELD_BITS, MIN_VERSIONED_SIZE
+from arcreg.history import KIND_READ, KIND_WRITE, History
 from support import (
     CheckedArcRegister,
     Meter,
     NarrowWord,
     instrument,
     iter_schedule,
+    reader_weights,
     run_schedule,
     schedule_history,
+    schedule_plan,
 )
 
 
@@ -68,7 +73,7 @@ def test_init_state_two_readers():
     assert len(reg._slots) == 4
     assert reg._current.load() == 2  # I1: index 0, counter N
     assert all(s.r_start == 0 and s.r_end.load() == 0 for s in reg._slots)
-    assert reg._slots[0].size == 4096
+    assert reg._slots[0].value[1] == 4096
 
 
 def test_init_state_smallest_legal_n():
@@ -196,6 +201,70 @@ def test_reader_made_after_writes_leaves_slot_0s_pair():
     # Its bind counts in the read RMWs though no write saw it: slot 0 froze
     # at N, which counted this reader's init unit before it existed.
     assert reg.rmw_counters() == (2, 3)
+
+
+# -- the published pair -------------------------------------------------------
+
+
+def test_readers_bound_to_one_slot_get_the_same_pair():
+    reg = make(n_readers=2)
+    r1, r2 = reg.new_reader(), reg.new_reader()
+    assert r1.read() is r2.read() is reg._slots[0].value  # I1's pair
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 4096))
+    assert r1.read() is r2.read() is reg._slots[writer.last_slot].value
+
+
+def test_a_write_of_the_same_size_keeps_the_slots_pair():
+    reg = make(n_readers=1)
+    reader = reg.new_reader()
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 4096))  # slot 1
+    pair = reg._slots[1].value
+    writer.write(encode_versioned(2, 4096))  # slot 2; slot 1 retired empty
+    writer.write(encode_versioned(3, 4096))  # slot 1 again, same size
+    assert writer.last_slot == 1
+    assert reg._slots[1].value is pair
+    assert reader.read() is pair
+    assert decode_versioned(*pair) == (3, True)
+    writer.write(encode_versioned(4, 100))  # slot 2: 4096 -> 100 bytes
+    writer.write(encode_versioned(5, 4096))  # slot 0: the reader left it
+    writer.write(encode_versioned(6, 100))  # slot 2 again, same size
+    assert reader.read() == (reg._slots[2].content, 100)
+    assert decode_versioned(*reader.read()) == (6, True)
+
+
+def test_writes_alternating_sizes_publish_each_ones_size():
+    # Seeded single-thread schedule, writes at 1/3, alternating between
+    # the smallest versioned size and max_size: a slot's pair is rebuilt
+    # exactly when its size changes, and every read must see its write's.
+    n, max_size = 4, 256
+    reg = make(n_readers=n, max_size=max_size)
+    readers = [reg.new_reader() for _ in range(n)]
+    writer = reg.writer()
+    sizes = {0: max_size}
+    threads, kinds, seqs, intact = [], [], [], []
+    for i in schedule_plan(random.Random(13), reader_weights("uniform", n), 3_000, 3):
+        if i is None:
+            seq = writer.writes + 1
+            sizes[seq] = MIN_VERSIONED_SIZE if seq % 2 else max_size
+            writer.write(encode_versioned(seq, sizes[seq]))
+            threads.append(0)
+            kinds.append(KIND_WRITE)
+            seqs.append(seq)
+            intact.append(1)
+        else:
+            buf, size = readers[i].read()
+            seq, ok = decode_versioned(buf, size)
+            assert size == sizes[seq], f"read of write {seq}: size {size}, written {sizes[seq]}"
+            threads.append(1)
+            kinds.append(KIND_READ)
+            seqs.append(seq)
+            intact.append(int(ok))
+    assert writer.writes > 900
+    ops = len(seqs)
+    history = History(threads, kinds, range(0, 2 * ops, 2), range(1, 2 * ops, 2), seqs, intact)
+    assert check_history(history).total_violations == 0
 
 
 def test_transition_read_releases_old_slot_and_binds_new():
@@ -550,6 +619,17 @@ def test_checked_bind_catches_counter_past_n():
     reg._current.store(pack(writer.last_slot, 2))  # as if N units were bound
     with pytest.raises(InvariantViolation, match="presence counter 3 exceeds N=2"):
         reader.read()  # R4 adds the third unit
+
+
+def test_checked_write_catches_a_dirty_empty_slot():
+    reg = checked()
+    writer = reg.writer()
+    writer.write(encode_versioned(1, 64))  # slot 1
+    writer.write(encode_versioned(2, 64))  # slot 2; slot 1 retired empty
+    assert writer.empty_slot == 1
+    reg._slots[1].r_end.store(1)  # a release no bound reader could make
+    with pytest.raises(InvariantViolation, match="empty retired slot 1 has r_start=0, r_end=1"):
+        writer.write(encode_versioned(3, 64))
 
 
 def test_checked_publish_catches_drifted_last_slot():

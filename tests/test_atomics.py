@@ -1,6 +1,7 @@
 """Atomic word semantics, including linearizability under contention."""
 
 import threading
+import time
 
 import pytest
 
@@ -47,6 +48,72 @@ def test_contended_increments_are_lost_update_free():
     for t in threads:
         t.join()
     assert w.load() == per_thread * n_threads
+
+
+class SwitchingWord(AtomicU64):
+    """An ``AtomicU64`` that yields to other threads on every read of its
+    value, so each RMW's critical section holds a thread switch."""
+
+    __slots__ = ("_stored",)
+
+    @property
+    def _value(self):
+        value = self._stored
+        time.sleep(0)  # releases the GIL between the read and the write
+        return value
+
+    @_value.setter
+    def _value(self, value):
+        self._stored = value
+
+
+_MASK = 2**64 - 1
+_THREADS, _OPS_EACH = 4, 16  # 64 ops: one distinct bit each for fetch_or/fetch_and
+
+# Op k (0..63) of the contended run: the initial value, the operand of op k,
+# and the (before, after) states that op's return value and operand imply.
+# Every op changes the state, and no state recurs.
+_RMW_RUNS = {
+    "add_and_fetch": (0, lambda k: 1, lambda ret, arg: (ret - arg, ret)),
+    "exchange": (0, lambda k: k + 1, lambda ret, arg: (ret, arg)),
+    "fetch_or": (0, lambda k: 1 << k, lambda ret, arg: (ret, ret | arg)),
+    "fetch_and": (_MASK, lambda k: _MASK ^ (1 << k), lambda ret, arg: (ret, ret & arg)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_RMW_RUNS))
+def test_rmw_excludes_a_thread_switched_in_mid_update(op):
+    # Without the mutex every op reads its word, yields, and writes back
+    # over the others' updates. Linearizable RMWs chain instead: each op
+    # starts from the state the one before it left, so following the
+    # chain from the initial value visits every op once and ends at the
+    # final value.
+    initial, operand, states = _RMW_RUNS[op]
+    w = SwitchingWord(initial)
+    done = []
+
+    def hammer(t):
+        rmw = getattr(w, op)
+        for k in range(t * _OPS_EACH, (t + 1) * _OPS_EACH):
+            arg = operand(k)
+            done.append(states(rmw(arg), arg))
+
+    threads = [threading.Thread(target=hammer, args=(t,), daemon=True) for t in range(_THREADS)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == _THREADS * _OPS_EACH
+    after = {}
+    for before, new in done:
+        assert before not in after, f"two {op} ops both started from {before:#x}"
+        after[before] = new
+    state = initial
+    for _ in done:
+        assert state in after, f"no {op} op started from {state:#x}"
+        state = after.pop(state)
+    assert state == w.load()
 
 
 @pytest.mark.parametrize(

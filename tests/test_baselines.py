@@ -177,7 +177,7 @@ def _arc_state(reg, writer):
     """Everything an ARC write can touch; None for the other registers."""
     if not isinstance(reg, ArcRegister):
         return None
-    slots = [(s.r_start, s.r_end.load(), s.size) for s in reg._slots]
+    slots = [(s.r_start, s.r_end.load(), s.value[1]) for s in reg._slots]
     return writer.last_slot, writer.empty_slot, writer.frozen_units, reg._current.load(), slots
 
 

@@ -151,7 +151,7 @@ def test_same_seed_schedule_replays_exactly():
         )
         state = (
             reg._current.load(),
-            [(s.r_start, s.r_end.load(), s.size, bytes(s.content)) for s in reg._slots],
+            [(s.r_start, s.r_end.load(), s.value[1], bytes(s.content)) for s in reg._slots],
         )
         return costs, counts, state
 
