@@ -23,10 +23,14 @@ from .atomics import AtomicU64
 
 
 class _Buffer:
-    __slots__ = ("size", "content", "view")
+    """One of RF's N+2 buffers. ``view`` is the kept view writes copy
+    through; readers get ``value``, the ``(content, size)`` pair of the
+    value the buffer holds."""
+
+    __slots__ = ("value", "content", "view")
 
     def __init__(self, content: bytearray, view: memoryview) -> None:
-        self.size = 0
+        self.value = content, 0
         self.content = content
         self.view = view
 
@@ -57,6 +61,13 @@ class RfRegister(Register):
     again, that is, after its next read, so the buffer it holds stays out
     of reach until then. The writer avoids the current buffer and the N
     traced ones, so N+2 buffers always leave one free.
+
+    The writer keeps one count per buffer: the trace entries that name it,
+    plus one on the current buffer. A buffer is free exactly when its count
+    is 0, so the lowest free buffer, the one the rule "neither current nor
+    traced" picks, is the first 0 in the counts. Each buffer publishes its
+    ``(content, size)`` pair as ``value``, set before the exchange that
+    lets a reader find it, so no read allocates.
     """
 
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
@@ -68,8 +79,9 @@ class RfRegister(Register):
         super().__init__(n_readers, max_size)
         size = self._fit(initial)
         self._buffers = [_Buffer(*self._new_content_buffer()) for _ in range(n_readers + 2)]
-        self._buffers[0].view[:size] = initial
-        self._buffers[0].size = size
+        buf = self._buffers[0]
+        buf.view[:size] = initial
+        buf.value = buf.content, size
         # status = index << _RF_INDEX_SHIFT | presence bits; buffer 0 current,
         # no readers.
         self._status = AtomicU64(0)
@@ -94,8 +106,7 @@ class RfReader:
     def read(self):
         """Return ``(buffer, size)`` of the current value (one fetch-or)."""
         self.reads += 1
-        buf = self._buffers[self._status.fetch_or(self._bit) >> _RF_INDEX_SHIFT]
-        return buf.content, buf.size
+        return self._buffers[self._status.fetch_or(self._bit) >> _RF_INDEX_SHIFT].value
 
     @property
     def rmw_ops(self) -> int:
@@ -106,7 +117,18 @@ class RfReader:
 
 
 class RfWriter:
-    __slots__ = ("_reg", "_current", "_trace", "writes")
+    """The single writer: picks a free buffer, copies, publishes, traces.
+
+    ``_refs[b]`` counts the trace entries that name buffer b, plus one if b
+    is current; it starts at ``[N+1, 0, ..., 0]``, every entry and the
+    current unit on buffer 0. The writer keeps it exact as it goes: a
+    write moves the current unit onto the buffer it publishes, and each
+    reader the exchange swapped out moves its trace entry onto the retired
+    buffer. A count is 0 exactly when its buffer is neither current nor
+    traced, so ``_refs.index(0)`` is the lowest such buffer.
+    """
+
+    __slots__ = ("_reg", "_current", "_trace", "_refs", "writes")
 
     def __init__(self, reg: RfRegister) -> None:
         self._reg = reg
@@ -114,34 +136,42 @@ class RfWriter:
         # trace[r]: the retired buffer reader r may still hold. Buffer 0 is
         # current at start, so zeros need no sentinel.
         self._trace = [0] * reg.n_readers
+        self._refs = [reg.n_readers + 1] + [0] * (len(reg._buffers) - 1)
         self.writes = 0
 
     def write(self, data) -> None:
         """Copy ``data`` into an untraced buffer and publish it (one RMW)."""
         reg = self._reg
         size = reg._fit(data)
-        trace = self._trace
-        forbidden = set(trace)
-        forbidden.add(self._current)
-        for target in range(len(reg._buffers)):
-            if target not in forbidden:
-                break
-        else:
+        refs = self._refs
+        try:
+            target = refs.index(0)
+        except ValueError:
             raise InvariantViolation(
-                "no free buffer among N+2: trace accounting falsified "
+                f"no free buffer: N={reg.n_readers}, current={self._current}, and all "
+                f"{len(refs)} buffers held; trace accounting falsified "
                 "(implementation bug)"
-            )
+            ) from None
         buf = reg._buffers[target]
         buf.view[:size] = data
-        buf.size = size
+        if buf.value[1] != size:
+            buf.value = buf.content, size
         old = reg._status.exchange(target << _RF_INDEX_SHIFT)
         retired = self._current
         if old >> _RF_INDEX_SHIFT != retired:
             raise InvariantViolation("published index drifted from writer state")
+        refs[target] = 1
         readers = old ^ (retired << _RF_INDEX_SHIFT)
+        # The current unit leaves the retired buffer, and every swapped-out
+        # reader's trace entry moves onto it. No entry names the current
+        # buffer, so no old entry is the retired one.
+        refs[retired] += readers.bit_count() - 1
+        trace = self._trace
         while readers:
             low = readers & -readers
-            trace[low.bit_length() - 1] = retired
+            reader = low.bit_length() - 1
+            refs[trace[reader]] -= 1
+            trace[reader] = retired
             readers ^= low
         self._current = target
         self.writes += 1

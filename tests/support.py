@@ -572,6 +572,34 @@ class CheckedArcRegister(ArcRegister):
         return CheckedArcWriter(self)
 
 
+# -- RF's free-buffer rule ----------------------------------------------------
+
+
+def rf_set_rule_buffer(trace: list[int], current: int, n_buffers: int) -> int:
+    """The buffer RF's W1 picked before its writer kept counts.
+
+    It rebuilt the set of traced buffers and the current one on every write
+    and took the lowest index outside it. Kept as the oracle the count-based
+    pick must match write for write.
+    """
+    forbidden = set(trace)
+    forbidden.add(current)
+    for target in range(n_buffers):
+        if target not in forbidden:
+            return target
+    raise InvariantViolation("no free buffer among N+2")
+
+
+def rf_recount(trace: list[int], current: int, n_buffers: int) -> list[int]:
+    """RF's per-buffer counts counted afresh: the trace entries
+    that name each buffer, plus one on the current buffer."""
+    refs = [0] * n_buffers
+    for held in trace:
+        refs[held] += 1
+    refs[current] += 1
+    return refs
+
+
 # -- reference checker ----------------------------------------------------------
 #
 # The history checker as it stood before its private part became a few

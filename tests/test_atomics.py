@@ -33,23 +33,6 @@ def test_wraps_modulo_2_64():
     assert w.add_and_fetch(-1) == 2**64 - 1
 
 
-def test_contended_increments_are_lost_update_free():
-    w = AtomicU64(0)
-    per_thread = 20_000
-    n_threads = 8
-
-    def hammer():
-        for _ in range(per_thread):
-            w.add_and_fetch(1)
-
-    threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert w.load() == per_thread * n_threads
-
-
 class SwitchingWord(AtomicU64):
     """An ``AtomicU64`` that yields to other threads on every read of its
     value, so each RMW's critical section holds a thread switch."""
@@ -65,6 +48,26 @@ class SwitchingWord(AtomicU64):
     @_value.setter
     def _value(self, value):
         self._stored = value
+
+
+def test_contended_increments_are_lost_update_free():
+    # Each increment reads the word, yields and writes back: without the
+    # mutex, the other threads' increments in between are lost.
+    w = SwitchingWord(0)
+    per_thread = 50
+    n_threads = 8
+
+    def hammer():
+        for _ in range(per_thread):
+            w.add_and_fetch(1)
+
+    threads = [threading.Thread(target=hammer, daemon=True) for _ in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert w.load() == per_thread * n_threads
 
 
 _MASK = 2**64 - 1

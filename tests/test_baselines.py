@@ -22,9 +22,21 @@ from arcreg import (
     run_bench,
 )
 from arcreg import baselines
-from arcreg.api import RF_INDEX_BITS, RF_MAX_READERS, InvariantViolation
+from arcreg.api import MIN_VERSIONED_SIZE, RF_INDEX_BITS, RF_MAX_READERS, InvariantViolation
 from arcreg.baselines import _WRITER_BIT
-from support import Meter, instrument, iter_schedule, run_schedule, schedule_history
+from support import (
+    READER_SHAPES,
+    Meter,
+    OpCost,
+    instrument,
+    iter_schedule,
+    reader_weights,
+    rf_recount,
+    rf_set_rule_buffer,
+    run_schedule,
+    schedule_history,
+    schedule_plan,
+)
 
 ALL_BASELINES = [RfRegister, PetersonRegister, RwlockRegister]
 ALL_REGISTERS = [ArcRegister, *ALL_BASELINES]
@@ -138,6 +150,66 @@ def test_rf_with_all_58_readers_parked_on_distinct_buffers():
     writer.write(encode_versioned(101, 64))
     got, intact = decode_versioned(*readers[0].read())
     assert intact and got == 101
+
+
+@pytest.mark.parametrize("shape", READER_SHAPES)
+@pytest.mark.parametrize("n", [1, 2, 16, 58])
+def test_rf_counts_pick_the_set_rules_buffer(n, shape):
+    # The writer's counts must pick, write for write, the buffer the rule
+    # "lowest index neither current nor traced" picks, and stay equal to a
+    # recount from the trace. Writes alternate between the smallest
+    # versioned size and max_size, so a buffer's pair changes size on reuse.
+    max_size = 64
+    reg = RfRegister(encode_versioned(0, max_size), n, max_size)
+    meter = instrument(reg)
+    readers = [reg.new_reader() for _ in range(n)]
+    writer = reg.writer()
+    n_buffers = n + 2
+    assert writer._refs == rf_recount(writer._trace, writer._current, n_buffers)
+    sizes = {0: max_size}
+    seen = [0] * n
+    costs = []
+    plan = schedule_plan(random.Random(20 + n), reader_weights(shape, n), 3_000, 3)
+    for i in plan:
+        rmw = meter.rmw
+        if i is None:
+            expected = rf_set_rule_buffer(writer._trace, writer._current, n_buffers)
+            seq = writer.writes + 1
+            sizes[seq] = MIN_VERSIONED_SIZE if seq % 2 else max_size
+            writer.write(encode_versioned(seq, sizes[seq]))
+            assert writer._current == expected
+            assert writer._refs == rf_recount(writer._trace, writer._current, n_buffers)
+            costs.append(OpCost("write", meter.rmw - rmw, 0, True, seq))
+        else:
+            buf, size = readers[i].read()
+            seq, intact = decode_versioned(buf, size)
+            assert intact and size == sizes[seq]
+            costs.append(OpCost("read", meter.rmw - rmw, 0, seq != seen[i], seq))
+            seen[i] = seq
+    assert writer.writes > 900
+    assert {c.rmw for c in costs} == {1}
+    assert check_history(schedule_history(costs)).total_violations == 0
+
+
+def test_rf_exhaustion_raises_with_a_witness_and_touches_nothing():
+    reg = make(RfRegister, n_readers=3, max_size=64)
+    readers = [reg.new_reader() for _ in range(3)]
+    writer = reg.writer()
+    for seq in range(1, 4):
+        writer.write(encode_versioned(seq, 64))
+        readers[seq - 1].read()
+    writer.write(encode_versioned(4, 64))
+
+    def state():
+        return (reg._status.load(), list(writer._trace), writer.writes,
+                [bytes(buf.content) for buf in reg._buffers])
+
+    before = state()
+    writer._refs[:] = [1] * len(writer._refs)  # every buffer held: falsified
+    message = rf"no free buffer: N=3, current={writer._current}, and all 5 buffers held"
+    with pytest.raises(InvariantViolation, match=message):
+        writer.write(encode_versioned(5, 64))
+    assert state() == before
 
 
 # -- multi-copy construction specifics ----------------------------------------
