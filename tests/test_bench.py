@@ -19,6 +19,7 @@ from arcreg import (
     load_sweep,
     run_bench,
 )
+from arcreg.arc import ArcWriter
 from arcreg.cli import main as cli_main
 from support import BrokenArcRegister, instrument, run_schedule
 
@@ -63,6 +64,43 @@ def test_work_mode_records_and_checks():
     result = run_bench(cfg)
     assert result.violations == 0
     assert result.torn_reads == 0
+
+
+@pytest.mark.parametrize("mode", ["hold", "work"])
+@pytest.mark.parametrize("algo", list(RegisterKind))
+def test_every_handle_reads_the_last_write_after_the_run(algo, mode):
+    cfg = BenchConfig(algo=algo, readers=2, size=4096, duration=0.1, mode=mode)
+    result = run_bench(cfg)
+    assert result.quiescent_misses == result.violations == 0
+
+
+class DroppingArcWriter(ArcWriter):
+    """Counts every write and publishes none."""
+
+    def write(self, data) -> None:
+        self._reg._fit(data)
+        self.writes += 1
+
+
+class DroppingArcRegister(ArcRegister):
+    def _make_writer(self) -> DroppingArcWriter:
+        return DroppingArcWriter(self)
+
+
+@pytest.mark.parametrize("mode", ["hold", "work"])
+def test_unverified_run_counts_handles_that_miss_the_last_write(mode):
+    # Nothing is recorded without verify, so only the quiescent read after
+    # the join can see that the writer dropped its writes.
+    def dropping_factory(cfg):
+        return DroppingArcRegister(encode_versioned(0, cfg.size), cfg.readers, cfg.size)
+
+    cfg = BenchConfig(algo=RegisterKind.ARC, readers=3, size=4096, duration=0.2, mode=mode)
+    for _ in range(5):  # the start barrier can release the writer too late to write
+        result = run_bench(cfg, register_factory=dropping_factory)
+        if result.writes:
+            break
+    assert result.writes > 0
+    assert result.quiescent_misses == result.violations == cfg.readers
 
 
 def test_min_ops_floor_extends_the_run():

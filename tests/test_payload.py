@@ -2,10 +2,15 @@
 
 import random
 import struct
+from array import array
 
 import pytest
 
 from arcreg import ConfigurationError, decode_versioned, encode_versioned
+
+# The decoder scans a body longer than this as two comparisons: its head at
+# shift 8 and the whole at shift PERIOD.
+PERIOD = 4096
 
 
 def test_encode_zero_is_all_zero_bytes():
@@ -103,6 +108,72 @@ def test_decode_agrees_with_expected_buffer_oracle(kind):
         seq, intact = _decode_by_expected_buffer(body, size)
         assert decode_versioned(kind(body), size) == (seq, intact)
         assert intact != damaged
+
+
+def _scan_region_cases():
+    # Sizes around one and two periods and at 128 KiB; in each, one bit
+    # flipped in every region of the two-comparison scan, a body one byte
+    # short, and at 128 KiB word-aligned torn mixtures cut in the head and
+    # in the tail.
+    rng = random.Random(20261020)
+    sizes = [*range(PERIOD - 9, PERIOD + 18), 2 * PERIOD - 1, 2 * PERIOD + 1]
+    sizes += [131072 + extra for extra in range(8)]
+    for size in sizes:
+        body = bytearray(encode_versioned(rng.getrandbits(64), size))
+        body += rng.randbytes(rng.randint(0, 16))  # slack past the value
+        yield size, body
+        yield size, body[:size - 1]
+        full_end = size - size % 8
+        regions = {
+            "first word": range(8),
+            "head": range(8, min(size, PERIOD)),
+            "tail": range(PERIOD + 8, full_end),
+            "partial word": range(full_end, size),
+        }
+        flips = [rng.choice(r) for r in regions.values() if r]
+        flips += range(PERIOD - 8, min(size, PERIOD + 8))  # the seam, every byte
+        for at in flips:
+            flipped = bytearray(body)
+            flipped[at] ^= 1 << rng.randrange(8)
+            yield size, flipped
+        if size % 8 == 0 and size >= 2 * PERIOD:
+            other = encode_versioned(rng.getrandbits(64), size)
+            for lo, hi in ((1, PERIOD // 8), (PERIOD // 8 + 1, size // 8)):
+                cut = 8 * rng.randrange(lo, hi)
+                yield size, bytearray(other[:cut]) + body[cut:]
+                yield size, body[:cut] + bytearray(other[cut:size])
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_decode_agrees_with_oracle_in_every_scan_region(kind):
+    intact = 0
+    for size, body in _scan_region_cases():
+        expected = _decode_by_expected_buffer(body, size)
+        assert decode_versioned(kind(body), size) == expected, (size, len(body))
+        intact += expected[1]
+    assert intact == 37  # one unbroken body per size, and only those
+
+
+def _non_contiguous(body):
+    raw = bytearray(2 * len(body))
+    raw[::2] = body
+    return memoryview(raw)[::2]
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda b: array("Q", b), lambda b: memoryview(b).cast("Q"), _non_contiguous],
+    ids=["array-Q", "memoryview-Q", "non-contiguous"],
+)
+@pytest.mark.parametrize("size", [16, 2 * PERIOD + 8])
+def test_decode_counts_bytes_whatever_the_buffer_format(wrap, size):
+    # len() and slices of these buffers count items of 8 bytes, or skip
+    # bytes; the decoder must see the same bytes as bytes(body).
+    body = encode_versioned(5, size)
+    assert decode_versioned(wrap(body), size) == (5, True)
+    torn = bytearray(body)
+    torn[-1] ^= 1
+    assert decode_versioned(wrap(bytes(torn)), size) == (5, False)
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
