@@ -132,33 +132,51 @@ def decode_versioned(body, size: int) -> tuple[int, bool]:
     )
 
 
+class ContentBuffer:
+    """One pre-allocated ``max_size`` buffer and the pair it publishes.
+
+    ``view`` is the kept view every write copies through (see
+    ``Register``); readers get ``value``, the ``(content, size)`` pair of
+    the value the buffer holds, and never the view.
+    """
+
+    __slots__ = ("value", "content", "view")
+
+    def __init__(self, max_size: int) -> None:
+        self.content = content = bytearray(max_size)
+        self.view = memoryview(content)
+        self.value = content, 0
+
+
 class Register:
     """Base for the concrete registers: the (1,N) contract they share.
 
     The base class owns the handle registry (one writer, ``n_readers``
-    readers), the size contract (``_fit``: a value is 1..``max_size``
-    bytes, checked before any side effect), and content-buffer allocation
-    and accounting. Its ``rmw_counters`` sums the handles' ``rmw_ops``
-    tallies, as the baselines need; ``ArcRegister`` overrides it and
-    derives its read count at the synchronization word. Subclasses
-    implement ``_make_reader(reader_id)`` and ``_make_writer()``; handles
-    are usable from one thread at a time but may migrate between
+    readers, at most ``max_readers`` of them), the size contract (``_fit``:
+    a value is 1..``max_size`` bytes, checked before any side effect), and
+    content-buffer allocation and accounting (``_content_buffers``).
+    Subclasses implement ``_make_reader(reader_id)``, ``_make_writer()``
+    and ``rmw_counters()``, derived from their handles' operation counts;
+    handles are usable from one thread at a time but may migrate between
     operations.
 
-    Kept-view rule: ``_new_content_buffer`` returns each buffer together
-    with a ``memoryview`` of it, made once, and the register keeps that
-    view next to the buffer. Every initial value and every write copies
-    in as one slice assignment through the kept view,
-    ``view[:size] = data``: a single memcpy from any source ``_fit``
-    admits. Assigning to a ``bytearray`` slice instead would first copy a
-    non-``bytearray`` source into a temporary, and building a fresh view
-    per write costs more than the copy of a small value. Readers get the
-    ``bytearray`` itself, never the view.
+    Kept-view rule: each ``ContentBuffer`` keeps a ``memoryview`` of its
+    content, made once. Every initial value and every write copies in as
+    one slice assignment through the kept view, ``view[:size] = data``: a
+    single memcpy from any source ``_fit`` admits. Assigning to a
+    ``bytearray`` slice instead would first copy a non-``bytearray`` source
+    into a temporary, and building a fresh view per write costs more than
+    the copy of a small value. A write rebuilds the buffer's ``value`` pair
+    only when its size changes, so two reads with no write between return
+    the same pair.
     """
 
+    #: Most reader handles the register's synchronization word admits; None
+    #: when any count fits.
+    max_readers: int | None = None
+
     def __init__(self, n_readers: int, max_size: int) -> None:
-        if n_readers < 1:
-            raise CapacityError(f"need at least one reader, got {n_readers}")
+        self.check_readers(n_readers)
         if max_size < 1:
             raise ConfigurationError(f"max_size must be positive, got {max_size}")
         self.n_readers = n_readers
@@ -166,6 +184,16 @@ class Register:
         self._readers: list = []
         self._writer = None
         self._allocated_buffers = 0
+
+    @classmethod
+    def check_readers(cls, n_readers: int) -> None:
+        """Raise ``CapacityError`` unless the register admits ``n_readers`` readers."""
+        if n_readers < 1:
+            raise CapacityError(f"need at least one reader, got {n_readers}")
+        if cls.max_readers is not None and n_readers > cls.max_readers:
+            raise CapacityError(
+                f"{cls.__name__} admits at most {cls.max_readers} readers, got {n_readers}"
+            )
 
     def new_reader(self):
         """Register one of the ``n_readers`` reader handles."""
@@ -187,20 +215,29 @@ class Register:
 
     def rmw_counters(self) -> tuple[int, int]:
         """Cumulative RMW instruction counts on the (read, write) paths."""
-        read_rmw = sum(r.rmw_ops for r in self._readers)
-        write_rmw = self._writer.rmw_ops if self._writer is not None else 0
-        return read_rmw, write_rmw
+        raise NotImplementedError
 
     @property
     def content_buffer_count(self) -> int:
         """Number of content buffers this register allocated (exact)."""
         return self._allocated_buffers
 
-    def _new_content_buffer(self) -> tuple[bytearray, memoryview]:
-        """Allocate one ``max_size`` buffer; return it and its kept view."""
-        self._allocated_buffers += 1
-        content = bytearray(self.max_size)
-        return content, memoryview(content)
+    def _content_buffers(self, count: int, initial, buffer_type=ContentBuffer) -> list:
+        """Allocate and count ``count`` buffers; the first holds ``initial``.
+
+        ``initial`` passes ``_fit`` before anything is allocated.
+        """
+        size = self._fit(initial)
+        buffers = [buffer_type(self.max_size) for _ in range(count)]
+        self._allocated_buffers += count
+        first = buffers[0]
+        first.view[:size] = initial
+        first.value = first.content, size
+        return buffers
+
+    def _writes(self) -> int:
+        """Writes so far: 0 until the writer handle is taken."""
+        return 0 if self._writer is None else self._writer.writes
 
     def _fit(self, data) -> int:
         """Return the size of ``data`` if it is a legal register value.

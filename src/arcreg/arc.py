@@ -43,13 +43,7 @@ the first write after the readers stop may still probe up to N+1 slots.
 
 from __future__ import annotations
 
-from .api import (
-    ARC_FIELD_BITS,
-    ARC_MAX_READERS,
-    CapacityError,
-    InvariantViolation,
-    Register,
-)
+from .api import ARC_FIELD_BITS, ARC_MAX_READERS, ContentBuffer, InvariantViolation, Register
 from .atomics import AtomicU64
 
 INDEX_SHIFT = ARC_FIELD_BITS
@@ -66,24 +60,21 @@ def unpack(raw: int) -> tuple[int, int]:
     return raw >> INDEX_SHIFT, raw & COUNTER_MASK
 
 
-class _Slot:
-    """One of the N+2 snapshot holders.
+class _Slot(ContentBuffer):
+    """One of the N+2 snapshot holders: a content buffer and its release count.
 
     ``r_start`` is writer-private: reset on reuse, frozen on retirement,
     and read only by the writer's free-slot search. ``r_end`` is an atomic
     RMW counter because several readers may release the same slot
-    concurrently. ``view`` is the kept view writes copy through; readers
-    get ``value``, the ``(content, size)`` pair of the value the slot holds.
+    concurrently.
     """
 
-    __slots__ = ("r_start", "r_end", "value", "content", "view")
+    __slots__ = ("r_start", "r_end")
 
-    def __init__(self, content: bytearray, view: memoryview) -> None:
+    def __init__(self, max_size: int) -> None:
+        super().__init__(max_size)
         self.r_start = 0
         self.r_end = AtomicU64(0)
-        self.value = content, 0
-        self.content = content
-        self.view = view
 
 
 class ArcRegister(Register):
@@ -96,21 +87,14 @@ class ArcRegister(Register):
             this size and writes of any size up to it are accepted.
     """
 
+    max_readers = ARC_MAX_READERS
+
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
-        if n_readers > ARC_MAX_READERS:
-            raise CapacityError(
-                f"anonymous-counting register admits at most {ARC_MAX_READERS} "
-                f"readers, got {n_readers}"
-            )
         super().__init__(n_readers, max_size)
-        size = self._fit(initial)
         # I1 state: N+2 slots, all counters zero, slot 0 holds the initial
         # value, and current = pack(0, N) -- as if every reader already
         # started reading slot 0.
-        self._slots = [_Slot(*self._new_content_buffer()) for _ in range(n_readers + 2)]
-        slot = self._slots[0]
-        slot.view[:size] = initial
-        slot.value = slot.content, size
+        self._slots = self._content_buffers(n_readers + 2, initial, _Slot)
         self._current = AtomicU64(pack(0, n_readers))  # I1
 
     def rmw_counters(self) -> tuple[int, int]:
@@ -127,7 +111,7 @@ class ArcRegister(Register):
         if writer is None:
             return 0, 0  # no write yet: every read took the fast path
         binds = writer.frozen_units + (self._current.load() & COUNTER_MASK) - self.n_readers
-        return 2 * binds, writer.rmw_ops
+        return 2 * binds, writer.writes  # one W2 exchange per write
 
     def _make_reader(self, reader_id: int) -> "ArcReader":
         return ArcReader(self, reader_id)
@@ -233,10 +217,6 @@ class ArcWriter:
         self.frozen_units += freed
         self.last_slot = slot_idx
         self.writes += 1
-
-    @property
-    def rmw_ops(self) -> int:
-        return self.writes  # one W2 exchange per write
 
     def find_free_slot(self) -> int:
         """Return a slot index != last_slot whose ``r_start == r_end``.

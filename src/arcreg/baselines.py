@@ -12,27 +12,8 @@ from __future__ import annotations
 
 import time
 
-from .api import (
-    CapacityError,
-    InvariantViolation,
-    Register,
-    RF_INDEX_BITS,
-    RF_MAX_READERS,
-)
+from .api import InvariantViolation, Register, RF_INDEX_BITS, RF_MAX_READERS
 from .atomics import AtomicU64
-
-
-class _Buffer:
-    """One of RF's N+2 buffers. ``view`` is the kept view writes copy
-    through; readers get ``value``, the ``(content, size)`` pair of the
-    value the buffer holds."""
-
-    __slots__ = ("value", "content", "view")
-
-    def __init__(self, content: bytearray, view: memoryview) -> None:
-        self.value = content, 0
-        self.content = content
-        self.view = view
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +51,18 @@ class RfRegister(Register):
     lets a reader find it, so no read allocates.
     """
 
+    max_readers = RF_MAX_READERS
+
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
-        if n_readers > RF_MAX_READERS:
-            raise CapacityError(
-                f"readers-field register admits at most {RF_MAX_READERS} "
-                f"readers, got {n_readers}"
-            )
         super().__init__(n_readers, max_size)
-        size = self._fit(initial)
-        self._buffers = [_Buffer(*self._new_content_buffer()) for _ in range(n_readers + 2)]
-        buf = self._buffers[0]
-        buf.view[:size] = initial
-        buf.value = buf.content, size
+        self._buffers = self._content_buffers(n_readers + 2, initial)
         # status = index << _RF_INDEX_SHIFT | presence bits; buffer 0 current,
         # no readers.
         self._status = AtomicU64(0)
+
+    def rmw_counters(self) -> tuple[int, int]:
+        """One fetch-or per read and one exchange per write."""
+        return sum(r.reads for r in self._readers), self._writes()
 
     def _make_reader(self, reader_id: int) -> "RfReader":
         return RfReader(self, reader_id)
@@ -107,10 +85,6 @@ class RfReader:
         """Return ``(buffer, size)`` of the current value (one fetch-or)."""
         self.reads += 1
         return self._buffers[self._status.fetch_or(self._bit) >> _RF_INDEX_SHIFT].value
-
-    @property
-    def rmw_ops(self) -> int:
-        return self.reads  # one fetch-or per read
 
     def finish(self) -> None:
         """No-op; the writer's trace keeps the last buffer read out of reach."""
@@ -176,10 +150,6 @@ class RfWriter:
         self._current = target
         self.writes += 1
 
-    @property
-    def rmw_ops(self) -> int:
-        return self.writes  # one exchange per write
-
 
 # ---------------------------------------------------------------------------
 # Multi-copy (announce-array) register
@@ -230,8 +200,11 @@ class PetersonRegister(Register):
         copy per read: derived from the handles' operation counts, which
         count exactly the calls that reached their allocation.
         """
-        writes = self._writer.writes if self._writer is not None else 0
-        return 1 + writes + sum(r.reads for r in self._readers)
+        return 1 + self._writes() + sum(r.reads for r in self._readers)
+
+    def rmw_counters(self) -> tuple[int, int]:
+        """Always ``(0, 0)``: plain loads and stores only."""
+        return 0, 0
 
     def _make_reader(self, reader_id: int) -> "PetersonReader":
         return PetersonReader(self, reader_id)
@@ -241,13 +214,12 @@ class PetersonRegister(Register):
 
 
 class PetersonReader:
-    __slots__ = ("_reg", "reader_id", "reads", "rmw_ops")
+    __slots__ = ("_reg", "reader_id", "reads")
 
     def __init__(self, reg: PetersonRegister, reader_id: int) -> None:
         self._reg = reg
         self.reader_id = reader_id
         self.reads = 0
-        self.rmw_ops = 0  # stays zero: plain-store protocol
 
     def read(self):
         reg = self._reg
@@ -266,13 +238,12 @@ class PetersonReader:
 
 
 class PetersonWriter:
-    __slots__ = ("_reg", "_seq", "writes", "rmw_ops")
+    __slots__ = ("_reg", "_seq", "writes")
 
     def __init__(self, reg: PetersonRegister) -> None:
         self._reg = reg
         self._seq = 0
         self.writes = 0
-        self.rmw_ops = 0
 
     def write(self, data) -> None:
         reg = self._reg
@@ -312,11 +283,12 @@ class RwlockRegister(Register):
 
     def __init__(self, initial, n_readers: int, max_size: int) -> None:
         super().__init__(n_readers, max_size)
-        size = self._fit(initial)
         self._word = AtomicU64(0)
-        self._content, self._view = self._new_content_buffer()
-        self._view[:size] = initial
-        self._size = size
+        (self._buffer,) = self._content_buffers(1, initial)
+
+    def rmw_counters(self) -> tuple[int, int]:
+        """The readers' tallies, and one fetch-or and one fetch-and per write."""
+        return sum(r.rmw_ops for r in self._readers), 2 * self._writes()
 
     def _make_reader(self, reader_id: int) -> "RwlockReader":
         return RwlockReader(self, reader_id)
@@ -365,7 +337,7 @@ class RwlockReader:
             break
         self._holding = True
         self.rmw_ops += rmw
-        return reg._content, reg._size
+        return reg._buffer.value
 
     def finish(self) -> None:
         if self._holding:
@@ -391,14 +363,12 @@ class RwlockWriter:
             while word.load() & _READER_COUNT_MASK:
                 step += 1
                 _spin(step)
-            reg._view[:size] = data
-            reg._size = size
+            buf = reg._buffer
+            buf.view[:size] = data
+            if buf.value[1] != size:
+                buf.value = buf.content, size
         finally:
             # Whatever interrupts the wait or the copy, the writer bit must
             # drop, or every reader spins forever.
             word.fetch_and(~_WRITER_BIT)
         self.writes += 1
-
-    @property
-    def rmw_ops(self) -> int:
-        return 2 * self.writes  # one fetch-or and one fetch-and per write

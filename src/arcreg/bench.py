@@ -2,10 +2,10 @@
 
 One writer thread updates the register continuously while N reader threads
 read continuously (zero think time). In ``hold`` mode a write copies a
-fixed template (stamped with an 8-byte version word so ordering checks
-still work when verification is on) and a read only fetches the buffer
-view; in ``work`` mode every write generates a fresh versioned payload and
-every read scans the whole retrieved buffer. With ``verify`` enabled, all
+fixed zero-filled template (stamped with an 8-byte version word so ordering
+checks still work when verification is on) and a read only fetches the
+buffer view; in ``work`` mode every write generates a fresh versioned
+payload and every read scans the whole retrieved buffer. With ``verify`` enabled, all
 operations are recorded and the history checks run before results are
 reported. Every run ends with a quiescent read: after the join each reader
 handle reads once more and must see the writer's last value, verified or
@@ -23,14 +23,13 @@ import json
 import logging
 import math
 import os
-import random
 import sys
 import threading
 import time
 from dataclasses import dataclass
 
 from .api import CapacityError, ConfigurationError, MIN_VERSIONED_SIZE, RegisterKind
-from .api import RF_MAX_READERS, decode_versioned, encode_versioned
+from .api import decode_versioned, encode_versioned
 from .arc import ArcRegister
 from .baselines import PetersonRegister, RfRegister, RwlockRegister
 from .history import History, Recorder, check_history
@@ -62,7 +61,6 @@ class BenchConfig:
     duration: float = 1.0
     mode: str = "hold"
     verify: bool = False
-    seed: int = 0
     min_ops: int = 0
     switch_interval: float | None = None
     history_out: str | os.PathLike | None = None
@@ -97,10 +95,7 @@ class BenchConfig:
             )
         if self.history_out is not None and not self.verify:
             raise ConfigurationError("saving the history needs verify: nothing is recorded")
-        if self.algo is RegisterKind.RF and self.readers > RF_MAX_READERS:
-            raise CapacityError(
-                f"RF admits at most {RF_MAX_READERS} readers, got {self.readers}"
-            )
+        _REGISTER_TYPES[self.algo].check_readers(self.readers)
 
 
 # The type each ``BenchConfig`` field must have: (types, description).
@@ -111,7 +106,6 @@ _FIELD_TYPES = {
     "duration": ((int, float), "a number"),
     "mode": (str, "a string"),
     "verify": (bool, "a boolean"),
-    "seed": (int, "an integer"),
     "min_ops": (int, "an integer"),
     "switch_interval": ((int, float, type(None)), "a number or None"),
     "history_out": ((str, os.PathLike, type(None)), "a path or None"),
@@ -208,9 +202,7 @@ def _reader_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
 
 def _writer_loop(ctl, barrier, handle, cfg: BenchConfig, recorder) -> None:
     try:
-        rng = random.Random(cfg.seed)
-        template = bytearray(rng.randbytes(cfg.size))
-        template[0:8] = (0).to_bytes(8, "little")
+        template = bytearray(cfg.size)
         write = handle.write
         record = recorder.record_write if recorder is not None else None
         barrier.wait()
@@ -355,7 +347,7 @@ def load_sweep(path) -> list[BenchConfig]:
     The runs are the product of the axes ``algos``, ``readers`` and
     ``sizes``, each a non-empty list, and each case runs ``repeat`` times
     in a row (default 1). The file may also set ``duration``, ``mode``,
-    ``verify``, ``seed`` and ``min_ops`` for every run. Every case is built
+    ``verify`` and ``min_ops`` for every run. Every case is built
     before any runs, so one bad value refuses the whole file
     (``ConfigurationError``); a case beyond an algorithm's capacity is
     skipped with a note.
@@ -366,7 +358,7 @@ def load_sweep(path) -> list[BenchConfig]:
         raise ConfigurationError(f"matrix file {path} must hold a JSON object")
     axes = [settings.pop(key, None) for key in ("algos", "readers", "sizes")]
     repeat = settings.pop("repeat", 1)
-    unknown = settings.keys() - {"duration", "mode", "verify", "seed", "min_ops"}
+    unknown = settings.keys() - {"duration", "mode", "verify", "min_ops"}
     if unknown:
         raise ConfigurationError(f"matrix file {path}: unknown keys {sorted(unknown)}")
     if not all(isinstance(axis, list) and axis for axis in axes):

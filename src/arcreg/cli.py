@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, help="seconds per run")
     p.add_argument("--mode", choices=("hold", "work"))
     p.add_argument("--verify", action="store_true", help="record and check the history")
-    p.add_argument("--seed", type=int, help="workload content seed")
     p.add_argument("--csv", metavar="PATH", help="write results as CSV")
     p.add_argument(
         "--history-out",

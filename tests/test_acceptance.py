@@ -74,7 +74,6 @@ def stress_matrix():
                 duration=2.0,
                 mode="work",
                 verify=True,
-                seed=readers * 1000 + size,
                 min_ops=MIN_OPS,
                 switch_interval=0.001,
             )
@@ -243,7 +242,6 @@ def test_criterion_6_capacity():
         duration=2.0,
         mode="work",
         verify=True,
-        seed=6,
         min_ops=MIN_OPS,
         switch_interval=0.001,
     )
@@ -307,7 +305,7 @@ def test_criterion_8_relative_performance():
 
     def throughput(algo):
         cfg = BenchConfig(
-            algo=algo, readers=16, size=131072, duration=1.5, mode="hold", seed=8,
+            algo=algo, readers=16, size=131072, duration=1.5, mode="hold",
         )
         return statistics.median(run_bench(cfg).throughput_ops_s for _ in range(3))
 
@@ -337,7 +335,6 @@ def test_criterion_9_mutation_is_caught():
             duration=min(2.0, max(0.5, deadline - time.monotonic())),
             mode="work",
             verify=True,
-            seed=9,
             switch_interval=0.0002,
         )
         result = run_bench(cfg, register_factory=broken_factory)

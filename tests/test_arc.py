@@ -13,6 +13,8 @@ from arcreg import (
     ArcRegister,
     CapacityError,
     InvariantViolation,
+    RfRegister,
+    RwlockRegister,
     arc,
     check_history,
     decode_versioned,
@@ -206,32 +208,50 @@ def test_reader_made_after_writes_leaves_slot_0s_pair():
 # -- the published pair -------------------------------------------------------
 
 
-def test_readers_bound_to_one_slot_get_the_same_pair():
-    reg = make(n_readers=2)
+#: The registers that publish one pair per content buffer, and their buffers.
+PAIR_BUFFERS = {
+    ArcRegister: lambda reg: reg._slots,
+    RfRegister: lambda reg: reg._buffers,
+    RwlockRegister: lambda reg: [reg._buffer],
+}
+
+
+@pytest.mark.parametrize("cls", list(PAIR_BUFFERS))
+def test_readers_bound_to_one_slot_get_the_same_pair(cls):
+    reg = cls(encode_versioned(0, 4096), 2, 4096)
+    buffers = PAIR_BUFFERS[cls](reg)
     r1, r2 = reg.new_reader(), reg.new_reader()
-    assert r1.read() is r2.read() is reg._slots[0].value  # I1's pair
+    pair = r1.read()
+    assert r2.read() is pair is buffers[0].value  # I1's pair
+    assert r1.read() is pair  # no write between
     writer = reg.writer()
+    r1.finish()
+    r2.finish()  # a held rwlock read lock would block the write
     writer.write(encode_versioned(1, 4096))
-    assert r1.read() is r2.read() is reg._slots[writer.last_slot].value
+    pair = r1.read()
+    assert r2.read() is pair and any(pair is buf.value for buf in buffers)
+    assert decode_versioned(*pair) == (1, True)
 
 
-def test_a_write_of_the_same_size_keeps_the_slots_pair():
-    reg = make(n_readers=1)
-    reader = reg.new_reader()
-    writer = reg.writer()
-    writer.write(encode_versioned(1, 4096))  # slot 1
-    pair = reg._slots[1].value
-    writer.write(encode_versioned(2, 4096))  # slot 2; slot 1 retired empty
-    writer.write(encode_versioned(3, 4096))  # slot 1 again, same size
-    assert writer.last_slot == 1
-    assert reg._slots[1].value is pair
+@pytest.mark.parametrize("cls", list(PAIR_BUFFERS))
+def test_a_write_of_the_same_size_keeps_the_slots_pair(cls):
+    reg = cls(encode_versioned(0, 4096), 1, 4096)
+    buffers = PAIR_BUFFERS[cls](reg)
+    reader, writer = reg.new_reader(), reg.writer()
+    writer.write(encode_versioned(1, 4096))  # ARC and RF: buffer 1
+    writer.write(encode_versioned(2, 4096))  # buffer 2: every buffer holds 4096 bytes
+    pairs = [buf.value for buf in buffers]
+    writer.write(encode_versioned(3, 4096))  # ARC and RF: buffer 1 again
+    assert all(buf.value is pair for buf, pair in zip(buffers, pairs))
+    pair = reader.read()
     assert reader.read() is pair
     assert decode_versioned(*pair) == (3, True)
-    writer.write(encode_versioned(4, 100))  # slot 2: 4096 -> 100 bytes
-    writer.write(encode_versioned(5, 4096))  # slot 0: the reader left it
-    writer.write(encode_versioned(6, 100))  # slot 2 again, same size
-    assert reader.read() == (reg._slots[2].content, 100)
-    assert decode_versioned(*reader.read()) == (6, True)
+    reader.finish()
+    writer.write(encode_versioned(4, 100))  # a new size: one new pair
+    changed = [buf for buf, pair in zip(buffers, pairs) if buf.value is not pair]
+    assert len(changed) == 1
+    assert changed[0].value == (changed[0].content, 100)
+    assert reader.read() is changed[0].value
 
 
 def test_writes_alternating_sizes_publish_each_ones_size():
@@ -638,3 +658,12 @@ def test_checked_publish_catches_drifted_last_slot():
     writer.last_slot = 2  # slot 0 is current
     with pytest.raises(InvariantViolation, match="retired index 0 drifted from writer state 2"):
         writer.write(encode_versioned(1, 64))
+
+
+def test_search_resets_r_start_of_the_slot_it_takes():
+    # W3 sets r_start only when a slot retires. Without W1's reset, the slot
+    # a search takes stays current at the count it was last frozen at, and
+    # the outstanding-reads sum counts units that no reader holds.
+    reg = checked()
+    run_schedule(reg, Meter(), ops=300, write_every=2)
+    assert reg.checks > 0

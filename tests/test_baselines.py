@@ -21,7 +21,6 @@ from arcreg import (
     encode_versioned,
     run_bench,
 )
-from arcreg import baselines
 from arcreg.api import MIN_VERSIONED_SIZE, RF_INDEX_BITS, RF_MAX_READERS, InvariantViolation
 from arcreg.baselines import _WRITER_BIT
 from support import (
@@ -88,7 +87,7 @@ def test_rf_reader_cap_is_where_the_presence_bits_meet_the_index(monkeypatch):
     reg = RfRegister(encode_versioned(0, 64), 58, 64)
     costs = list(iter_schedule(reg, Meter(), ops=20_000, write_every=3))
     assert check_history(schedule_history(costs)).total_violations == 0
-    monkeypatch.setattr(baselines, "RF_MAX_READERS", 59)
+    monkeypatch.setattr(RfRegister, "max_readers", 59)
     reg = RfRegister(encode_versioned(0, 64), 59, 64)
     with pytest.raises(InvariantViolation, match="published index drifted"):
         list(iter_schedule(reg, Meter(), ops=20_000, write_every=3))
@@ -473,7 +472,6 @@ def test_baseline_stress_has_zero_violations(algo):
         duration=1.0,
         mode="work",
         verify=True,
-        seed=3,
         switch_interval=0.001,
     )
     result = run_bench(cfg)

@@ -27,7 +27,7 @@ from support import BrokenArcRegister, instrument, run_schedule
 def test_smoke_hold_run_with_verification():
     cfg = BenchConfig(
         algo=RegisterKind.ARC, readers=1, size=4096, duration=0.4,
-        mode="hold", verify=True, seed=1,
+        mode="hold", verify=True,
     )
     result = run_bench(cfg)
     assert result.writes >= 1
@@ -157,11 +157,15 @@ def test_matrix_cartesian_row_count(tmp_path):
 
 
 def test_matrix_skips_rf_beyond_capacity_with_note(tmp_path, caplog):
-    path = _sweep_file(tmp_path, algos=["arc", "rf"], readers=[64], sizes=[64], duration=0.1)
+    # Each algorithm is capped at its register's max_readers: RF at 58 and
+    # ARC at 2**32 - 2. A case beyond it is skipped before any case runs.
+    path = _sweep_file(tmp_path, algos=["arc", "rf"], readers=[64, 2**32 - 1], sizes=[64],
+                       duration=0.1)
     with caplog.at_level(logging.WARNING, logger="arcreg.bench"):
         configs = load_sweep(path)
-    assert [c.algo for c in configs] == [RegisterKind.ARC]  # only the ARC case
-    assert any("skipping RF" in message for message in caplog.messages)
+    assert [(c.algo, c.readers) for c in configs] == [(RegisterKind.ARC, 64)]
+    for case in ("ARC at 4294967295", "RF at 64", "RF at 4294967295"):
+        assert any(f"skipping {case} readers" in message for message in caplog.messages)
 
 
 def test_matrix_spec_from_json(tmp_path):
@@ -226,6 +230,7 @@ def test_cli_rejects_bad_config(tmp_path):
     malformed = [
         {"algos": ["arc"], "readers": [1], "sizes": [64], "threads": 4},  # unknown key
         {"algos": ["arc"], "readers": [1], "sizes": [64], "pin": True},  # a removed key
+        {"algos": ["arc"], "readers": [1], "sizes": [64], "seed": 1},  # a removed key
         {"algos": ["arc"], "sizes": [64]},  # missing key
         [{"algos": ["arc"], "readers": [1], "sizes": [64]}],  # not an object
         {"algos": ["arc"], "readers": 1, "sizes": [64]},  # an int, not a list
@@ -256,7 +261,7 @@ def test_cli_rejects_bad_config(tmp_path):
     path.write_text(json.dumps({"algos": ["arc"], "readers": [1], "sizes": [64],
                                 "duration": 0.1}))
     for flag in (["--algo", "arc"], ["--readers", "2"], ["--size", "64"],
-                 ["--duration", "0.1"], ["--mode", "work"], ["--verify"], ["--seed", "1"],
+                 ["--duration", "0.1"], ["--mode", "work"], ["--verify"],
                  ["--repeat", "3"], ["--repeat", "1"], ["--min-ops", "5"]):
         assert cli_main(["--matrix", str(path), *flag]) == 2
         assert cli_main(["--matrix", str(path), "--csv", str(out), *flag]) == 2
@@ -283,9 +288,9 @@ def test_duration_must_be_positive_and_finite(duration, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("verify", "no"), ("verify", 1), ("readers", 2.5), ("readers", True), ("size", 4096.0),
-    ("seed", 1.5), ("seed", None), ("min_ops", -3), ("duration", True), ("algo", 5),
-    ("algo", None), ("switch_interval", "x"), ("switch_interval", 0.0),
-    ("switch_interval", float("nan")), ("history_out", 5),
+    ("min_ops", -3), ("duration", True), ("algo", 5), ("algo", None),
+    ("switch_interval", "x"), ("switch_interval", 0.0), ("switch_interval", float("nan")),
+    ("history_out", 5),
 ])
 def test_config_fields_are_type_checked(field, value):
     # verify="no" is truthy and would turn verification on; a bool is an int
@@ -339,7 +344,7 @@ def test_saved_history_rechecks_to_the_same_verdict(tmp_path):
     path = tmp_path / "history.txt"
     cfg = BenchConfig(
         algo=RegisterKind.ARC, readers=4, size=4096, duration=0.5, mode="work",
-        verify=True, seed=9, switch_interval=0.0002, history_out=path,
+        verify=True, switch_interval=0.0002, history_out=path,
     )
     for _ in range(5):
         result = run_bench(cfg, register_factory=broken_factory)
