@@ -45,11 +45,22 @@ its columns in place:
   position when the writes carry seqs 1, 2, ..., W, checked by one minimum
   and one maximum, and one binary search among the writes finds it
   otherwise.
-* regularity: two gathers per read; the witness search runs only for the
-  violating reads.
+* runs: on rows grouped by thread in program order, as recorders merge
+  them, the reads are first screened run by run, a run being a maximal
+  block of consecutive reads of one thread that return one value. Within a
+  run invocation and response never fall, so the checks below, applied to
+  each run's first and last read only, prove that no read is stale, future
+  or inverted. The per-read check of a kind runs only when its screen
+  fires, so every report is the per-read one. One comparison of
+  neighbouring reads counts the runs first; reads averaging fewer than
+  ``_MIN_READS_PER_RUN`` a run, and rows in any other order, take the
+  per-read checks directly.
+* regularity: two gathers per read (per run on grouped rows); the witness
+  search runs only for the violating reads.
 * atomicity: a scatter-min of each read's response onto its value, then one
-  gather per read. The stable sort of the reads by response that names the
-  witnesses runs only when some read is inverted.
+  gather per read (both per run on grouped rows). The stable sort of the
+  reads by response that names the witnesses runs only when some read is
+  inverted.
 * integrity: one count over the reads' intact column.
 """
 
@@ -162,6 +173,14 @@ class History:
         self.response = np.asarray(response, dtype=np.int64)
         self.seq = np.asarray(seq, dtype=np.int64)
         self.intact = np.asarray(intact, dtype=np.int64)
+        # The checks read the columns side by side, row by row.
+        columns = [(name, getattr(self, name)) for name in self.__slots__]
+        for name, column in columns:
+            if column.ndim != 1:
+                raise CorruptedHistoryError(f"column {name} is {column.ndim}-D, not 1-D")
+        if len({len(column) for _, column in columns}) > 1:
+            lengths = ", ".join(f"{name} {len(column)}" for name, column in columns)
+            raise CorruptedHistoryError(f"columns differ in length: {lengths}")
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -211,13 +230,19 @@ class History:
     # one record per line, so saved runs can be re-checked later.
 
     def to_lines(self) -> Iterator[str]:
+        # Refused here, before ``save`` opens its file, not at the bad row.
+        if not np.isin(self.kind, (KIND_READ, KIND_WRITE)).all():
+            raise _unknown_kind(self.kind)
         columns = (self.thread, self.kind, self.invocation, self.response, self.seq, self.intact)
-        for thread, kind, inv, resp, seq, intact in zip(*(c.tolist() for c in columns)):
-            yield f"{thread} {_KIND_NAMES[kind]} {inv} {resp} {seq} {intact}"
+        return (
+            f"{thread} {_KIND_NAMES[kind]} {inv} {resp} {seq} {intact}"
+            for thread, kind, inv, resp, seq, intact in zip(*(c.tolist() for c in columns))
+        )
 
     def save(self, path) -> None:
+        lines = self.to_lines()
         with open(path, "w", encoding="ascii") as fh:
-            for line in self.to_lines():
+            for line in lines:
                 fh.write(line + "\n")
 
     @classmethod
@@ -253,19 +278,26 @@ def _rows(column: np.ndarray, rows) -> np.ndarray:
     return column[rows]
 
 
+def _unknown_kind(kind: np.ndarray) -> CorruptedHistoryError:
+    """The error naming the first operation kind that is neither read nor write."""
+    bad = kind[(kind != KIND_READ) & (kind != KIND_WRITE)][0]
+    return CorruptedHistoryError(f"operation kind {bad} is neither read nor write")
+
+
 def _validate(h: History) -> tuple:
     """Sanity-check the history; return its read and write columns.
 
     The result is ``(reads, source, r_inv, r_resp, r_seq, w_inv, w_resp,
-    values)``. ``reads`` holds the read row numbers: a ``range`` when the
-    reads form one block, else an index array. ``r_inv``, ``r_resp`` and
-    ``r_seq`` are the reads' invocation, response and seq columns in row
-    order. ``w_inv`` and ``w_resp`` are the writes' invocation and
+    values, blocks)``. ``reads`` holds the read row numbers: a ``range``
+    when the reads form one block, else an index array. ``r_inv``,
+    ``r_resp`` and ``r_seq`` are the reads' invocation, response and seq
+    columns in row order. ``w_inv`` and ``w_resp`` are the writes' invocation and
     response columns in (invocation, response, seq) order, and ``values`` is
     ``[INITIAL_SEQ]`` followed by their seqs. ``source[i]`` is the
     position in ``values`` of the value that read ``reads[i]`` returned:
     0 for the initial value, k for the k-th write. The columns of a block
-    of rows are views, the others are gathered once.
+    of rows are views, the others are gathered once. ``blocks`` is what
+    ``_check_threads`` returns.
     """
     inv, resp, seq, kind = h.invocation, h.response, h.seq, h.kind
     if len(h) and (inv > resp).any():
@@ -281,8 +313,7 @@ def _validate(h: History) -> tuple:
         writes = np.flatnonzero(kind == KIND_WRITE)
         reads = np.flatnonzero(kind == KIND_READ)
         if len(reads) + len(writes) != len(h):
-            bad = kind[(kind != KIND_READ) & (kind != KIND_WRITE)][0]
-            raise CorruptedHistoryError(f"operation kind {bad} is neither read nor write")
+            raise _unknown_kind(kind)
     w_inv, w_resp, w_seq = _rows(inv, writes), _rows(resp, writes), _rows(seq, writes)
     # Writes are checked in (invocation, response, seq) order, the order one
     # writer records them in: of two invoked at once, a zero-length one goes
@@ -301,7 +332,7 @@ def _validate(h: History) -> tuple:
         raise CorruptedHistoryError("write sequence number collides with the initial value")
     if overlap:
         raise CorruptedHistoryError("writes overlap; single-writer history expected")
-    _check_threads(h)
+    blocks = _check_threads(h)
     r_seq = _rows(seq, reads)
     if values[-1] == len(w_seq):  # values are 0, 1, .., W: each seq is its position
         source = r_seq
@@ -316,30 +347,35 @@ def _validate(h: History) -> tuple:
     if not known:
         bad = r_seq[unknown][0]
         raise CorruptedHistoryError(f"read returned seq {bad} which no write produced")
-    return reads, source, _rows(inv, reads), _rows(resp, reads), r_seq, w_inv, w_resp, values
+    r_inv, r_resp = _rows(inv, reads), _rows(resp, reads)
+    return reads, source, r_inv, r_resp, r_seq, w_inv, w_resp, values, blocks
 
 
-def _check_threads(h: History) -> None:
+def _check_threads(h: History) -> np.ndarray | None:
     """Refuse a thread whose records overlap; equal boundaries are tolerated.
 
     Rows merged from recorders come grouped by thread, each group in program
     order, so comparing neighbours is the whole check once every thread is
-    known to form one contiguous run. Any other row order is sorted by
-    (thread, invocation, response) first: of two records invoked at once,
-    a zero-length one goes first, whatever their row order.
+    known to form one contiguous run. For such rows the result is the row
+    numbers at which a thread's block starts, the first row's left out. Any
+    other row order is sorted by (thread, invocation, response) first: of
+    two records invoked at once, a zero-length one goes first, whatever
+    their row order. The result is then None.
     """
     if len(h) < 2:
-        return
+        return np.zeros(0, dtype=np.intp)
     thread, inv, resp = h.thread, h.invocation, h.response
     same = thread[1:] == thread[:-1]
-    runs = np.concatenate((thread[:1], thread[1:][~same]))
-    if len(np.unique(runs)) == len(runs) and not (same & (inv[1:] < resp[:-1])).any():
-        return
+    blocks = np.flatnonzero(~same) + 1
+    heads = thread[np.concatenate(([0], blocks))]
+    if len(np.unique(heads)) == len(heads) and not (same & (inv[1:] < resp[:-1])).any():
+        return blocks
     order = np.lexsort((resp, inv, thread))
     thread, inv, resp = thread[order], inv[order], resp[order]
     bad = np.flatnonzero((thread[1:] == thread[:-1]) & (inv[1:] < resp[:-1]))
     if len(bad):
         raise CorruptedHistoryError(f"thread {thread[bad[0]]} has overlapping operations")
+    return None
 
 
 def check_no_past(h: History) -> list[RegularityViolation]:
@@ -350,8 +386,8 @@ def check_no_past(h: History) -> list[RegularityViolation]:
     when the write producing its value had not been invoked by the time the
     read responded. An empty report means the history is regular.
     """
-    reads, source, r_inv, r_resp, _, *writes = _validate(h)
-    return _no_past(reads, source, r_inv, r_resp, *writes)
+    reads, source, r_inv, r_resp, _, w_inv, w_resp, values, _ = _validate(h)
+    return _no_past(reads, source, r_inv, r_resp, w_inv, w_resp, values)
 
 
 def _no_past(
@@ -387,6 +423,16 @@ def _no_past(
     return violations
 
 
+def _newer(source: np.ndarray, r_resp: np.ndarray) -> np.ndarray:
+    """``newer[p]``: the earliest response of a read of a value newer than p.
+
+    A read of value p is inverted iff ``newer[p]`` falls before it began.
+    """
+    first = np.full(source.max() + 2, np.iinfo(np.int64).max)
+    np.minimum.at(first, source, r_resp)
+    return np.minimum.accumulate(first[:0:-1])[::-1]
+
+
 def check_no_new_old_inversion(h: History) -> list[InversionViolation]:
     """Report reads ordered in real time whose values are ordered new-then-old.
 
@@ -409,13 +455,7 @@ def _inversions(
 ) -> list[InversionViolation]:
     if len(reads) < 2:
         return []
-    # first[p]: the earliest response of a read that returned value p.
-    # newer[p]: the earliest response of a read that returned a value newer
-    # than p. A read is inverted iff such a read responded before it began.
-    first = np.full(source.max() + 2, np.iinfo(np.int64).max)
-    np.minimum.at(first, source, r_resp)
-    newer = np.minimum.accumulate(first[:0:-1])[::-1]
-    violating = np.flatnonzero(newer[source] < r_inv)
+    violating = np.flatnonzero(_newer(source, r_resp)[source] < r_inv)
     if not len(violating):
         return []
     # Witness: the newest-valued read among those that responded before the
@@ -457,11 +497,70 @@ class VerificationReport:
         return not self.no_past and not self.inversions
 
 
+#: Reads per run, on average, from which the run screen is taken. The screen
+#: costs a few passes over the reads plus a few binary searches per run; on
+#: generated atomic histories of 300 K grouped reads (2-core AMD EPYC, NumPy
+#: 2.4) it costs as much as the per-read checks at about 10 reads a run.
+_MIN_READS_PER_RUN = 10
+
+
+def _screen_runs(
+    reads: range | np.ndarray,
+    blocks: np.ndarray,
+    source: np.ndarray,
+    r_inv: np.ndarray,
+    r_resp: np.ndarray,
+    w_inv: np.ndarray,
+    w_resp: np.ndarray,
+) -> tuple[bool, bool] | None:
+    """Screen grouped reads run by run: ``(regular, ordered)``, or None.
+
+    ``blocks`` holds the rows at which a thread's block starts, as
+    ``_check_threads`` returns them. A run is a maximal block of consecutive
+    reads of one thread returning one value. On rows grouped by thread in
+    program order, invocation and response never fall within a run, so a
+    run holds a stale read iff its last read is stale, a future read iff
+    its first read is, and an inverted read iff its last read is; and the
+    earliest response of a value's reads is one of its runs' first.
+    ``regular`` is True when no read is stale or future, ``ordered`` when
+    none is inverted. None means the reads average too few per run for the
+    screen to pay.
+    """
+    n = len(source)
+    ends = source[1:] != source[:-1]
+    if n < 2 or (np.count_nonzero(ends) + len(blocks)) * _MIN_READS_PER_RUN >= n:
+        return None
+    # A thread's first read starts a run too: the first read at or after
+    # its block's first row.
+    first = blocks - reads.start if isinstance(reads, range) else np.searchsorted(reads, blocks)
+    ends[first[(first > 0) & (first < n)] - 1] = True
+    ends = np.append(np.flatnonzero(ends), n - 1)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    run_source, first_resp, last_inv = source[starts], r_resp[starts], r_inv[ends]
+    # Stale: more writes completed before the run's last read began than
+    # its value's position; future: fewer began by its first read's end.
+    regular = (np.searchsorted(w_resp, last_inv, side="left") <= run_source).all() and (
+        np.searchsorted(w_inv, first_resp, side="right") >= run_source
+    ).all()
+    rank = np.unique(run_source, return_inverse=True)[1]  # the runs' values, 0, 1, ..
+    ordered = not (_newer(rank, first_resp)[rank] < last_inv).any()
+    return bool(regular), ordered
+
+
 def check_history(h: History) -> VerificationReport:
-    """Run all checks and bundle the results (validating the history once)."""
-    reads, source, r_inv, r_resp, r_seq, *writes = _validate(h)
+    """Run all checks and bundle the results (validating the history once).
+
+    Rows grouped by thread in program order, as recorders merge them, are
+    screened run by run first; the per-read checks, which name the
+    violations and their witnesses, run only for a screen that fires.
+    """
+    reads, source, r_inv, r_resp, r_seq, w_inv, w_resp, values, blocks = _validate(h)
+    screen = None
+    if blocks is not None:
+        screen = _screen_runs(reads, blocks, source, r_inv, r_resp, w_inv, w_resp)
+    regular, ordered = screen or (False, False)
     return VerificationReport(
-        no_past=_no_past(reads, source, r_inv, r_resp, *writes),
-        inversions=_inversions(reads, source, r_inv, r_resp, r_seq),
+        no_past=[] if regular else _no_past(reads, source, r_inv, r_resp, w_inv, w_resp, values),
+        inversions=[] if ordered else _inversions(reads, source, r_inv, r_resp, r_seq),
         torn_reads=len(reads) - int(np.count_nonzero(_rows(h.intact, reads))),
     )

@@ -212,6 +212,81 @@ def arrange_rows(rows: list[tuple], order: str, rng: random.Random) -> History:
     return History(*(zip(*rows) if rows else ([],) * 6))
 
 
+#: What ``random_long_run_history`` plants: nothing, or violating reads at
+#: the end of a run (stale, inverted), at its start (future) or inside it
+#: (torn).
+LONG_RUN_PLANTS = ("clean", "stale-at-run-end", "inverted-at-run-end", "future-at-run-start",
+                   "torn-mid-run")
+
+
+def random_long_run_history(rng: np.random.Generator, plant: str) -> History:
+    """A history shaped like a threaded run: hundreds of reads per value.
+
+    Thread 0 writes 2 to 6 increasing seqs, consecutive or with gaps, one
+    every 500 to 1 500 ticks, each 20 to 120 ticks long, and may read a run
+    of the value it just wrote before its next write. Threads 1..R read back
+    to back, 0 to 2 ticks a read, each over its own window, so that one
+    reader's last value may be the next one's first. Each reader switches
+    from value k - 1 to value k at one instant within write k, the same for
+    every reader, so the history is atomic. ``plant`` (one of
+    ``LONG_RUN_PLANTS``) moves one reader's switch for one write, which its
+    window covers: past the write's end, so the last reads of the old value
+    are stale; to the write's end while the other readers, whose windows
+    cover it too, switch at its start, so the last reads of the old value
+    are inverted; or before the write began, so the first reads of the new
+    value are future. ``torn-mid-run`` tears one read whose neighbours
+    return its value. Rows come grouped by thread, each in program order.
+    """
+    n_writes = int(rng.integers(2, 7))
+    period = int(rng.integers(500, 1_501))
+    seqs = np.cumsum(rng.integers(1, int(rng.choice((2, 2, 4))), n_writes))
+    values = np.concatenate(([INITIAL_SEQ], seqs))
+    w_inv = np.arange(1, n_writes + 1) * period + rng.integers(0, 20, n_writes)
+    w_resp = w_inv + rng.integers(20, 121, n_writes)
+    n_readers = int(rng.integers(2 if plant == "inverted-at-run-end" else 1, 4))
+    switch = np.tile(rng.integers(w_inv, w_resp + 1), (n_readers, 1))
+    mover, k = int(rng.integers(n_readers)), int(rng.integers(n_writes))
+    if plant == "stale-at-run-end":
+        switch[mover, k] = w_resp[k] + rng.integers(5, 41)
+    elif plant == "inverted-at-run-end":
+        switch[:, k] = w_inv[k]
+        switch[mover, k] = w_resp[k]
+    elif plant == "future-at-run-start":
+        switch[mover, k] = w_inv[k] - rng.integers(5, 41)
+    elif plant not in ("clean", "torn-mid-run"):
+        raise ValueError(f"unknown plant {plant!r}")
+
+    # Thread 0: its writes, each followed by a run of reads of its value
+    # with probability 0.3 (not the last: nothing bounds that run).
+    rows = [(np.zeros(n_writes), np.full(n_writes, KIND_WRITE), w_inv, w_resp, seqs)]
+    for w in np.flatnonzero(rng.random(n_writes - 1) < 0.3):
+        inv = np.arange(w_resp[w], w_inv[w + 1] - 1, 2)
+        rows.append((np.zeros(len(inv)), np.full(len(inv), KIND_READ), inv, inv + 1,
+                     np.full(len(inv), seqs[w])))
+    writer = [np.concatenate(c) for c in zip(*rows)]
+    order = np.argsort(writer[2], kind="stable")
+    rows = [tuple(c[order] for c in writer)]
+    end = (n_writes + 1) * period
+    for tid in range(1, n_readers + 1):
+        start = int(rng.integers(0, end // 2))
+        stop = start + int(rng.integers(end // 3, end))
+        if tid == mover + 1 or plant == "inverted-at-run-end":
+            start, stop = min(start, w_inv[k] - 50), max(stop, w_resp[k] + 50)
+        length = rng.integers(0, 3, stop - start)  # a read and its gap take 1.5 ticks on average
+        step = length + rng.integers(0, 2, stop - start)
+        inv = start + np.concatenate(([0], np.cumsum(step[:-1])))
+        length, inv = length[inv <= stop], inv[inv <= stop]
+        seq = values[np.searchsorted(switch[tid - 1], inv, side="right")]
+        rows.append((np.full(len(inv), tid), np.full(len(inv), KIND_READ), inv, inv + length, seq))
+    thread, kind, inv, resp, seq = (np.concatenate(c).astype(np.int64) for c in zip(*rows))
+    intact = np.ones(len(kind), dtype=np.int64)
+    if plant == "torn-mid-run":
+        mid = np.flatnonzero((kind[1:-1] == KIND_READ) & (thread[1:-1] == mover + 1)
+                             & (seq[:-2] == seq[1:-1]) & (seq[1:-1] == seq[2:])) + 1
+        intact[rng.choice(mid)] = 0
+    return History(thread, kind, inv, resp, seq, intact)
+
+
 #: The mutant's copy granularity: word-aligned, and small enough that a
 #: 4 KiB write spans several chunks a thread switch can fall between.
 MUTANT_COPY_CHUNK = 1024

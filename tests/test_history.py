@@ -20,9 +20,11 @@ from arcreg import (
 )
 from support import (
     CORRUPTIONS,
+    LONG_RUN_PLANTS,
     ROW_ORDERS,
     arrange_rows,
     linearizable_by_search,
+    random_long_run_history,
     random_raw_history,
     random_small_history,
     reference_check_history,
@@ -149,6 +151,33 @@ def test_unknown_kind_code_is_corrupted_history():
             check(h)
 
 
+@pytest.mark.parametrize("columns", [
+    ([0, 1], [1, 0], [0, 5], [1, 6], [1, 1], [1]),  # a short intact column
+    ([0, 1], [1, 0], [0, 5], [1, 6], [1, 1, 99], [1, 1]),  # a seq no row holds
+    ([0, 1, 1], [1, 0, 0], [0, 5, 7], [1, 6, 8], [1, 1], [1, 1, 1]),  # a row with no seq
+])
+def test_columns_of_different_lengths_are_refused(columns):
+    lengths = ", ".join(f"{name} {len(c)}" for name, c in zip(History.__slots__, columns))
+    with pytest.raises(CorruptedHistoryError, match=f"^columns differ in length: {lengths}$"):
+        History(*columns)
+
+
+def test_column_that_is_not_one_dimensional_is_refused():
+    with pytest.raises(CorruptedHistoryError, match="^column seq is 2-D, not 1-D$"):
+        History([0, 1], [1, 0], [0, 5], [1, 6], [[1], [1]], [1, 1])
+    with pytest.raises(CorruptedHistoryError, match="^column thread is 0-D, not 1-D$"):
+        History(0, [1], [0], [1], [1], [1])
+
+
+def test_saving_an_unknown_kind_is_refused_before_the_file_is_opened(tmp_path):
+    h = History([1, 0], [2, 1], [0, 0], [1, 1], [5, 1], [1, 1])
+    path = tmp_path / "history.txt"
+    refused = "^operation kind 2 is neither read nor write$"
+    with pytest.raises(CorruptedHistoryError, match=refused):
+        h.save(path)
+    assert not path.exists()
+
+
 def test_check_history_validates_once_and_agrees_with_the_public_checkers(monkeypatch):
     h = H(
         OpRecord(0, "write", 0, 1, 1),
@@ -262,7 +291,7 @@ def _merged_history() -> History:
 
 def test_merged_history_is_checked_through_views():
     h = _merged_history()
-    reads, source, r_inv, r_resp, r_seq, w_inv, w_resp, values = history._validate(h)
+    reads, source, r_inv, r_resp, r_seq, w_inv, w_resp, values, _ = history._validate(h)
     assert reads == range(4, 10)
     for view, column in ((r_inv, h.invocation), (r_resp, h.response), (r_seq, h.seq),
                          (source, h.seq), (w_inv, h.invocation), (w_resp, h.response)):
@@ -276,7 +305,7 @@ def test_read_moved_into_the_write_block_is_gathered():
     h = _merged_history()
     perm = np.array([0, 1, 7, 2, 3, 4, 5, 6, 8, 9])  # r1's last read between two writes
     moved = _permuted(h, perm)
-    reads, *_, values = history._validate(moved)
+    reads, *_, values, _ = history._validate(moved)
     assert isinstance(reads, np.ndarray) and list(reads) == [2, 5, 6, 7, 8, 9]
     assert list(values) == [0, 1, 2, 3, 4]
     report = check_history(moved)
@@ -414,6 +443,42 @@ def test_checker_matches_reference_checker_on_random_histories():
     assert compared >= 10_000
     for verdict in ("valid", "stale-read", "future-read", "inverted", "torn") + _CORRUPT_KINDS:
         assert seen[verdict] >= 100, seen
+
+
+def test_long_runs_are_screened_and_match_the_reference_checker(monkeypatch):
+    # Differential test on histories shaped like a threaded run, hundreds of
+    # reads per value, with violations where the run screen looks for them:
+    # stale and inverted reads at a run's end, future reads at its start, a
+    # torn read inside it. Grouped, a history is screened run by run (every
+    # screen is counted); permuted, its rows take the per-read path. Both
+    # must give the reference checker's report, witnesses and order included.
+    screens = []
+    screen = history._screen_runs
+
+    def counted(*args):
+        screens.append(screen(*args))
+        return screens[-1]
+
+    monkeypatch.setattr(history, "_screen_runs", counted)
+    rng = np.random.default_rng(24)
+    seen = Counter()
+    for i in range(500):
+        plant = LONG_RUN_PLANTS[i % len(LONG_RUN_PLANTS)]
+        h = random_long_run_history(rng, plant)
+        want = reference_check_history(h)
+        assert check_history(h) == want, (i, plant)
+        permuted = _permuted(h, rng.permutation(len(h)))
+        assert check_history(permuted) == reference_check_history(permuted), (i, plant)
+        seen.update((plant, verdict) for verdict in _verdicts(want))
+    verdicts = {"clean": "valid", "stale-at-run-end": "stale-read", "torn-mid-run": "torn",
+                "inverted-at-run-end": "inverted", "future-at-run-start": "future-read"}
+    for plant, verdict in verdicts.items():
+        assert seen[plant, verdict] >= 90, seen
+    # Every grouped history was screened, and screens both cleared and fired.
+    outcomes = Counter(screens)
+    assert sum(outcomes[s] for s in outcomes if s is not None) >= 500, outcomes
+    assert outcomes[True, True] >= 150 and outcomes[False, True] + outcomes[False, False] >= 150
+    assert outcomes[True, False] >= 90, outcomes
 
 
 def test_thread_split_by_another_thread_is_still_an_overlap():
