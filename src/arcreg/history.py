@@ -45,21 +45,27 @@ its columns in place:
   position when the writes carry seqs 1, 2, ..., W, checked by one minimum
   and one maximum, and one binary search among the writes finds it
   otherwise.
-* runs: on rows grouped by thread in program order, as recorders merge
-  them, the reads are first screened run by run, a run being a maximal
-  block of consecutive reads of one thread that return one value. Within a
-  run invocation and response never fall, so the checks below, applied to
-  each run's first and last read only, prove that no read is stale, future
-  or inverted. The per-read check of a kind runs only when its screen
-  fires, so every report is the per-read one. One comparison of
-  neighbouring reads counts the runs first; reads averaging fewer than
-  ``_MIN_READS_PER_RUN`` a run, and rows in any other order, take the
-  per-read checks directly.
-* regularity: two gathers per read (per run on grouped rows); the witness
-  search runs only for the violating reads.
-* atomicity: a scatter-min of each read's response onto its value, then one
-  gather per read (both per run on grouped rows). The stable sort of the
-  reads by response that names the witnesses runs only when some read is
+* screens: the reads are first screened for stale, future and inverted
+  reads; the per-read check of a kind runs only when its screen fires, so
+  every report is the per-read one. On rows grouped by thread in program
+  order, as recorders merge them, the screen goes run by run, a run being
+  a maximal block of consecutive reads of one thread that return one
+  value. Within a run invocation and response never fall, so the checks
+  below, applied to each run's first and last read only, prove the reads
+  clean. One comparison of neighbouring reads counts the runs first.
+  Reads averaging no more than ``_MIN_READS_PER_RUN`` a run, and rows in
+  any other order, are screened value by value instead: of one value's reads
+  only the last invoked can be stale or inverted and only the first to
+  respond can be a future read, so one scatter-max of the invocations and
+  one scatter-min of the responses onto the values decide.
+* regularity: two gathers per read, of the response of the write after
+  its value and of the invocation of its value's own write (per run in the
+  run screen, one comparison per value for each in the value screen); the
+  witness search runs only for the violating reads.
+* atomicity: a scatter-min of each read's response onto its value, whose
+  suffix-min is the earliest response of a newer value, then one gather per
+  read (per run or per value in the screens). The stable sort of the reads
+  by response that names the witnesses runs only when some read is
   inverted.
 * integrity: one count over the reads' intact column.
 """
@@ -305,9 +311,11 @@ def _validate(h: History) -> tuple:
     # A merged run lists the writer's recorder first: its writes, then
     # every read. KIND_READ is 0, so the nonzero kinds are the writes and
     # any unknown kind; the two blocks hold iff those lead the rows and are
-    # all writes.
+    # all writes. One test of the lead suffices: it holds n_writes nonzero
+    # kinds when all are KIND_WRITE, and that is every nonzero kind, so
+    # the rows after it are all reads.
     n_writes = np.count_nonzero(kind)
-    if not np.count_nonzero(kind[n_writes:]) and (kind[:n_writes] == KIND_WRITE).all():
+    if (kind[:n_writes] == KIND_WRITE).all():
         writes, reads = range(n_writes), range(n_writes, len(h))
     else:
         writes = np.flatnonzero(kind == KIND_WRITE)
@@ -497,11 +505,15 @@ class VerificationReport:
         return not self.no_past and not self.inversions
 
 
-#: Reads per run, on average, from which the run screen is taken. The screen
-#: costs a few passes over the reads plus a few binary searches per run; on
-#: generated atomic histories of 300 K grouped reads (2-core AMD EPYC, NumPy
-#: 2.4) it costs as much as the per-read checks at about 10 reads a run.
-_MIN_READS_PER_RUN = 10
+#: Reads per run, on average, above which the run screen is taken over the
+#: value screen. The run screen costs a few passes over the reads plus a few
+#: binary searches per run and a sort of the runs; the value screen costs two
+#: scatters over the reads and a suffix-min over the values. On generated
+#: atomic histories of 300 K reads grouped on 4 threads, each reader reading
+#: every value (2-core AMD EPYC, NumPy 2.4), the two cost alike, 2.5 ns a
+#: read, at 14 to 15 reads a run; at 10 they cost 3.4-3.7 and 2.3, at 20
+#: 1.8 and 2.7, and the per-read checks 3.2-3.8 throughout.
+_MIN_READS_PER_RUN = 14
 
 
 def _screen_runs(
@@ -524,7 +536,7 @@ def _screen_runs(
     earliest response of a value's reads is one of its runs' first.
     ``regular`` is True when no read is stale or future, ``ordered`` when
     none is inverted. None means the reads average too few per run for the
-    screen to pay.
+    screen to pay; ``_screen_values`` screens them then.
     """
     n = len(source)
     ends = source[1:] != source[:-1]
@@ -547,18 +559,49 @@ def _screen_runs(
     return bool(regular), ordered
 
 
+def _screen_values(
+    source: np.ndarray,
+    r_inv: np.ndarray,
+    r_resp: np.ndarray,
+    w_inv: np.ndarray,
+    w_resp: np.ndarray,
+) -> tuple[bool, bool]:
+    """Screen the reads value by value, in any row order: ``(regular, ordered)``.
+
+    Of one value's reads, only the last invoked can be stale or inverted,
+    and only the first to respond can be a future read. So one scatter-max
+    of the invocations and one scatter-min of the responses onto the
+    values decide, with three comparisons, whether any read is stale,
+    future or inverted. ``regular`` and ``ordered`` are as ``_screen_runs``
+    gives them.
+    """
+    if not len(source):
+        return True, True
+    newer = _newer(source, r_resp)  # positions 0 .. the newest value read
+    last_inv = np.full(len(newer), np.iinfo(np.int64).min)
+    np.maximum.at(last_inv, source, r_inv)
+    # A value is read stale iff the next write completed before its last
+    # read began. Writes begin in position order, so some read is future iff
+    # some write began after a read of its value or a newer one ended.
+    n = min(len(newer), len(w_inv))
+    regular = not ((w_resp[:n] < last_inv[:n]).any() or (w_inv[:n] > newer[:n]).any())
+    return regular, not (newer < last_inv).any()
+
+
 def check_history(h: History) -> VerificationReport:
     """Run all checks and bundle the results (validating the history once).
 
-    Rows grouped by thread in program order, as recorders merge them, are
-    screened run by run first; the per-read checks, which name the
-    violations and their witnesses, run only for a screen that fires.
+    The reads are screened first: run by run when the rows are grouped by
+    thread in program order, as recorders merge them, and the reads average
+    more than ``_MIN_READS_PER_RUN`` a run, else value by value. The per-read
+    checks, which name the violations and their witnesses, run only for a
+    screen that fires.
     """
     reads, source, r_inv, r_resp, r_seq, w_inv, w_resp, values, blocks = _validate(h)
     screen = None
     if blocks is not None:
         screen = _screen_runs(reads, blocks, source, r_inv, r_resp, w_inv, w_resp)
-    regular, ordered = screen or (False, False)
+    regular, ordered = screen or _screen_values(source, r_inv, r_resp, w_inv, w_resp)
     return VerificationReport(
         no_past=[] if regular else _no_past(reads, source, r_inv, r_resp, w_inv, w_resp, values),
         inversions=[] if ordered else _inversions(reads, source, r_inv, r_resp, r_seq),

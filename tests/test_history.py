@@ -9,6 +9,7 @@ import pytest
 
 import arcreg.history as history
 from arcreg import (
+    ArcRegister,
     CorruptedHistoryError,
     History,
     OpRecord,
@@ -17,17 +18,21 @@ from arcreg import (
     check_integrity,
     check_no_new_old_inversion,
     check_no_past,
+    encode_versioned,
 )
 from support import (
     CORRUPTIONS,
     LONG_RUN_PLANTS,
     ROW_ORDERS,
     arrange_rows,
+    instrument,
     linearizable_by_search,
     random_long_run_history,
     random_raw_history,
     random_small_history,
     reference_check_history,
+    run_schedule,
+    schedule_history,
 )
 
 
@@ -405,7 +410,20 @@ def _by_row(outcome, h: History, row_of) -> object:
     return no_past, inversions, outcome.torn_reads
 
 
-def test_checker_matches_reference_checker_on_random_histories():
+def _counting(monkeypatch, name: str) -> list:
+    """Replace ``history.<name>`` by a wrapper that logs each result."""
+    results = []
+    function = getattr(history, name)
+
+    def counted(*args):
+        results.append(function(*args))
+        return results[-1]
+
+    monkeypatch.setattr(history, name, counted)
+    return results
+
+
+def test_checker_matches_reference_checker_on_random_histories(monkeypatch):
     # Differential test against the reference checker: the same reports,
     # witnesses and order included, and the same error messages, for rows
     # grouped as recorders give them, shuffled, and sorted by invocation.
@@ -415,6 +433,9 @@ def test_checker_matches_reference_checker_on_random_histories():
     # the error, and row order can change which fails first. But no
     # uncorrupted history is refused in any row order: ties between equal
     # invocations are broken by the response, and the writes' then by seq.
+    # These histories hold a few reads a run, so every one that is checked
+    # at all takes the value screen (every screen is counted).
+    screens = _counting(monkeypatch, "_screen_values")
     rng = random.Random(12)
     seen = Counter()
     compared = 0
@@ -443,6 +464,12 @@ def test_checker_matches_reference_checker_on_random_histories():
     assert compared >= 10_000
     for verdict in ("valid", "stale-read", "future-read", "inverted", "torn") + _CORRUPT_KINDS:
         assert seen[verdict] >= 100, seen
+    # Screens both cleared and fired, for regularity and for order: one that
+    # always fires gives the same reports, only slower.
+    regular = Counter(regular for regular, _ in screens)
+    ordered = Counter(ordered for _, ordered in screens)
+    assert len(screens) >= 40_000, len(screens)
+    assert min(regular[True], regular[False], ordered[True], ordered[False]) >= 10_000, (regular, ordered)
 
 
 def test_long_runs_are_screened_and_match_the_reference_checker(monkeypatch):
@@ -450,16 +477,9 @@ def test_long_runs_are_screened_and_match_the_reference_checker(monkeypatch):
     # reads per value, with violations where the run screen looks for them:
     # stale and inverted reads at a run's end, future reads at its start, a
     # torn read inside it. Grouped, a history is screened run by run (every
-    # screen is counted); permuted, its rows take the per-read path. Both
-    # must give the reference checker's report, witnesses and order included.
-    screens = []
-    screen = history._screen_runs
-
-    def counted(*args):
-        screens.append(screen(*args))
-        return screens[-1]
-
-    monkeypatch.setattr(history, "_screen_runs", counted)
+    # screen is counted); permuted, value by value. Both must give the
+    # reference checker's report, witnesses and order included.
+    screens = _counting(monkeypatch, "_screen_runs")
     rng = np.random.default_rng(24)
     seen = Counter()
     for i in range(500):
@@ -479,6 +499,28 @@ def test_long_runs_are_screened_and_match_the_reference_checker(monkeypatch):
     assert sum(outcomes[s] for s in outcomes if s is not None) >= 500, outcomes
     assert outcomes[True, True] >= 150 and outcomes[False, True] + outcomes[False, False] >= 150
     assert outcomes[True, False] >= 90, outcomes
+
+
+def test_churn_shaped_history_runs_the_per_read_checks_only_when_a_screen_fires(monkeypatch):
+    # One thread's schedule over 31 readers, a write in ten ops, so about
+    # nine reads a value. The writer's and the readers' rows interleave, so
+    # they are not grouped by thread and the value screen decides.
+    reg = ArcRegister(encode_versioned(0, 64), 31, 64)
+    h = schedule_history(run_schedule(reg, instrument(reg)))
+    assert history._validate(h)[-1] is None
+    no_past, inversions = _counting(monkeypatch, "_no_past"), _counting(monkeypatch, "_inversions")
+    report = check_history(h)
+    assert report.total_violations == 0 and not no_past and not inversions
+    # One late read rewritten to the initial value: stale, and inverted
+    # against every earlier read of a newer value.
+    late = np.flatnonzero((h.kind == history.KIND_READ) & (h.seq > 1))[-100]
+    seq = h.seq.copy()
+    seq[late] = history.INITIAL_SEQ
+    stale = History(h.thread, h.kind, h.invocation, h.response, seq, h.intact)
+    report = check_history(stale)
+    assert len(no_past) == len(inversions) == 1
+    assert report == reference_check_history(stale)
+    assert _verdicts(report) == ["stale-read", "inverted"]
 
 
 def test_thread_split_by_another_thread_is_still_an_overlap():
